@@ -47,6 +47,11 @@ class SamplingBudgetError(CnfError):
     """Rejection sampling exhausted its try budget without enough accepts."""
 
 
+class LearnerInvariantError(CnfError):
+    """A learned formula broke a guarantee the elimination learner always
+    keeps: it rejects a sample, or admits an assignment the truth forbids."""
+
+
 # clause_status kinds
 SATISFIED = "satisfied"
 VIOLATED = "violated"

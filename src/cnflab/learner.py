@@ -2,9 +2,18 @@
 
 The learner starts from every size-k clause over distinct variables and
 removes each clause some sample violates; what survives is the output
-formula.  A PatternTable gives the sample-major dual view: one observed-
-pattern bitmask per k-subset of variables, so elimination costs
-O(C(n,k) * (kT + 2^k)) instead of rescanning samples per clause.
+formula.
+
+Every per-subset scan runs on one bit-sliced kernel, _split_tree.  Items
+(samples, or the assignments of a solution bitmap) are transposed into n
+column ints, and the k-subsets are walked in colex order as a depth-first
+tree in which each node splits its parent's item sets by one more column.
+The walk costs about C(n,k) * 2^k ANDs of T-bit ints, each shared prefix
+split once, with no Python step per (subset, sample) pair.  Over samples in
+draw order, a leaf's lowest set bit is its pattern's first-hit time: the
+clause forbidding the pattern survives T samples iff the leaf has no bit
+below T, and a sweep trial completes at the largest first-hit time over the
+patterns the truth supports.
 """
 
 from __future__ import annotations
@@ -17,9 +26,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Clause, CnfFormula, UnsatisfiableError
-from .rand import ALGORITHM, SeededRng, derived_seed
-from .solutions import Space, equivalent, sample_uniform, solution_bitmap
+from .core import Clause, CnfFormula, LearnerInvariantError, UnsatisfiableError
+from .rand import SeededRng, derived_seed
+from .solutions import Space, sample_uniform, solution_bitmap
 
 
 def iter_ksubsets_colex(n, k):
@@ -47,71 +56,68 @@ def colex_rank(subset) -> int:
     return sum(math.comb(s, i + 1) for i, s in enumerate(subset))
 
 
-class PatternTable:
-    """Observed-pattern bitmask for every k-subset of n variables.
+def _split_tree(n, k, columns, full):
+    """(subset, leaves) for every k-subset of range(n), in colex order.
 
-    Mask bit b of entry r is set iff some added sample, restricted to the
-    colex-rank-r subset (bit i of b = value of the subset's i-th variable),
-    equals pattern b.  Masks only ever gain bits as samples accumulate.
+    columns[v] holds the items whose variable v is True; full holds every
+    item.  leaves[b] holds the items whose values on subset form pattern b
+    (bit i of b is the value of subset[i], the Clause.forbidden convention).
+    The walk fixes the largest element first, each level in increasing
+    order, and shares every prefix split among the subsets below it.
     """
-
-    def __init__(self, n, k):
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
-        self.n = n
-        self.k = k
-        self.subsets = tuple(iter_ksubsets_colex(n, k))
-        self.masks = [0] * len(self.subsets)
-
-    def add_sample(self, assignment: int):
-        masks = self.masks
-        for r, subset in enumerate(self.subsets):
-            pattern = 0
-            for i, v in enumerate(subset):
-                if (assignment >> v) & 1:
-                    pattern |= 1 << i
-            masks[r] |= 1 << pattern
-
-    def add_samples(self, assignments):
-        for a in assignments:
-            self.add_sample(a)
-
-    def surviving_clauses(self):
-        """Clauses whose forbidden pattern was never observed, ordered by
-        colex subset rank then ascending pattern."""
-        out = []
-        full = (1 << (1 << self.k)) - 1
-        for r, subset in enumerate(self.subsets):
-            missing = self.masks[r] ^ full
-            while missing:
-                low = missing & -missing
-                out.append(Clause(subset, low.bit_length() - 1))
-                missing ^= low
-        return out
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    if k == 0:
+        return iter([((), [full])])
+    return _split_walk(columns, k - 1, n, (), [full])
 
 
-def valiant_learn(n, k, samples, mode="sample-major") -> CnfFormula:
+def _split_walk(columns, i, top, suffix, parts):
+    """The split tree below one node: subset[i] ranges below top, suffix is
+    subset[i+1:], and parts are indexed by the values on suffix, highest
+    position most significant.  (A module-level function, not a closure: a
+    recursive closure is a reference cycle that would hold the columns until
+    the cyclic garbage collector runs.)"""
+    for v in range(i, top):
+        column = columns[v]
+        split = []
+        for part in parts:
+            one = part & column
+            split.append(part ^ one)
+            split.append(one)
+        if i:
+            yield from _split_walk(columns, i - 1, v, (v,) + suffix, split)
+        else:
+            yield (v,) + suffix, split
+
+
+def _columns(samples, n):
+    """The samples transposed: bit t of column v is samples[t]'s value of v."""
+    mask = (1 << n) - 1
+    width = "0%db" % n
+    # the samples' binary strings, last sample first and highest variable
+    # first, so every n-th character from offset n-1-v reads column v
+    rows = "".join([format(a & mask, width) for a in reversed(samples)])
+    return [int(rows[n - 1 - v :: n] or "0", 2) for v in range(n)]
+
+
+def valiant_learn(n, k, samples) -> CnfFormula:
     """Eliminate every size-k clause some sample violates.
 
-    Returns the formula of all surviving clauses: the 2^k * C(n,k) candidate
-    clauses minus those whose forbidden pattern appears among the samples on
-    the clause's variable set.  With zero samples everything survives.  Both
-    modes produce identical output; clause-major is the literal
-    check-each-clause-against-each-sample loop kept for cross-validation.
+    Returns the formula of all surviving clauses, ordered by colex subset
+    rank then ascending pattern: the 2^k * C(n,k) candidate clauses minus
+    those whose forbidden pattern appears among the samples on the clause's
+    variable set, i.e. whose split-tree leaf is nonempty.  With zero samples
+    everything survives.
     """
-    if mode == "sample-major":
-        table = PatternTable(n, k)
-        table.add_samples(samples)
-        return CnfFormula(n, tuple(table.surviving_clauses()))
-    if mode != "clause-major":
-        raise ValueError("unknown mode %r" % (mode,))
-    clauses = []
-    for subset in iter_ksubsets_colex(n, k):
-        for pattern in range(1 << k):
-            candidate = Clause(subset, pattern)
-            if not any(candidate.pattern_of(a) == pattern for a in samples):
-                clauses.append(candidate)
-    return CnfFormula(n, tuple(clauses))
+    samples = list(samples)
+    tree = _split_tree(n, k, _columns(samples, n), (1 << len(samples)) - 1)
+    return CnfFormula(n, tuple(
+        Clause(subset, pattern)
+        for subset, leaves in tree
+        for pattern, leaf in enumerate(leaves)
+        if not leaf
+    ))
 
 
 def extend_short_clauses(formula: CnfFormula, k) -> CnfFormula:
@@ -177,9 +183,9 @@ def exact_learning_trial(truth, k, T, seed, family="", report_tv=False, limit=No
     """Sample T solutions of the truth formula, learn, and record whether
     the learned formula has exactly the truth's solution set.
 
-    Also asserts the learner's two unconditional guarantees on every trial:
-    the learned solution set contains every sample and never exceeds the
-    truth's solution set.
+    Also checks the learner's two unconditional guarantees on every trial,
+    raising LearnerInvariantError if one fails: the learned solution set
+    contains every sample and never exceeds the truth's solution set.
     """
     from .solutions import tv_distance
 
@@ -188,9 +194,10 @@ def exact_learning_trial(truth, k, T, seed, family="", report_tv=False, limit=No
     learned = valiant_learn(truth.n, k, samples)
     truth_bits = solution_bitmap(truth, limit=limit)
     learned_bits = solution_bitmap(learned, limit=limit)
-    assert learned_bits & ~truth_bits == 0, "learned solutions escaped the truth set"
-    for a in samples:
-        assert (learned_bits >> a) & 1, "a sample violates a learned clause"
+    if learned_bits & ~truth_bits:
+        raise LearnerInvariantError("learned solutions escaped the truth set")
+    if not all((learned_bits >> a) & 1 for a in samples):
+        raise LearnerInvariantError("a sample violates a learned clause")
     success = learned_bits == truth_bits
     tv = None
     if report_tv and learned_bits:
@@ -250,33 +257,48 @@ class SweepResult:
         return buf.getvalue()
 
 
-def _completion_time(space, subsets, truth_masks, t_max, seed):
-    """First sample count at which every subset's observed pattern mask
-    equals the truth's support mask, or None within t_max.
+# Samples drawn before a sweep trial's first completion check; each later
+# check doubles the number drawn, up to the grid's largest T.
+_FIRST_CHUNK = 64
 
-    Draws the exact sequence sample_uniform would produce, so trials with
-    larger T share the smaller trials' samples as a prefix.
+
+def _completion_time(space, k, unsupported, t_max, seed):
+    """First sample count at which every truth-supported (subset, pattern)
+    has been hit, or None within t_max.
+
+    unsupported counts, per k-subset in colex order, the patterns of zero
+    truth probability.  Draws the exact sequence sample_uniform would
+    produce, in chunks that double in size, and reads the first-hit times
+    off the split tree of all draws so far after each chunk.  Draws past
+    completion change no first hit, so the result is exact.
     """
     rng = SeededRng(seed)
-    observed = [0] * len(subsets)
-    remaining = {
-        r for r in range(len(subsets)) if truth_masks[r]  # always nonempty
-    }
-    for t in range(1, t_max + 1):
-        a = space.select(rng.randbelow(space.count))
-        done = []
-        for r in remaining:
-            pattern = 0
-            for i, v in enumerate(subsets[r]):
-                if (a >> v) & 1:
-                    pattern |= 1 << i
-            observed[r] |= 1 << pattern
-            if observed[r] == truth_masks[r]:
-                done.append(r)
-        remaining.difference_update(done)
-        if not remaining:
-            return t
-    return None
+    samples = []
+    while True:
+        want = min(t_max, max(_FIRST_CHUNK, 2 * len(samples)))
+        samples += [
+            space.select(rng.randbelow(space.count))
+            for _ in range(want - len(samples))
+        ]
+        tree = _split_tree(space.n, k, _columns(samples, space.n),
+                           (1 << len(samples)) - 1)
+        done = _last_first_hit(tree, unsupported)
+        if done is not None or len(samples) >= t_max:
+            return done
+
+
+def _last_first_hit(tree, unsupported):
+    """Largest 1-based first-hit time over the leaves of a split tree over
+    samples, or None while a supported pattern has no hit.  Samples only
+    ever hit supported patterns, so one is unhit iff its subset has more
+    empty leaves than unsupported patterns."""
+    hits = 0  # the lowest set bit of every leaf seen so far
+    for (_, leaves), empty in zip(tree, unsupported):
+        if leaves.count(0) > empty:
+            return None
+        for leaf in leaves:
+            hits |= leaf & -leaf
+    return hits.bit_length()
 
 
 def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
@@ -310,18 +332,13 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
         space = Space(formula, limit=limit)
         if space.count == 0:
             raise UnsatisfiableError("sweep instance %r is unsatisfiable" % (family,))
-        subsets = tuple(iter_ksubsets_colex(formula.n, k))
-        truth_masks = []
-        for subset in subsets:
-            counts = space.counts_by_pattern(subset)
-            mask = 0
-            for pattern, cnt in enumerate(counts):
-                if cnt:
-                    mask |= 1 << pattern
-            truth_masks.append(mask)
-        t_max = grid[-1]
+        columns = [space.var_mask(v) for v in range(formula.n)]
+        unsupported = [
+            leaves.count(0)
+            for _, leaves in _split_tree(formula.n, k, columns, space.bitmap)
+        ]
         times = [
-            _completion_time(space, subsets, truth_masks, t_max,
+            _completion_time(space, k, unsupported, grid[-1],
                              derived_seed(seed_base, t))
             for t in range(trials)
         ]

@@ -2,8 +2,9 @@
 
 Resilience of a formula at width k: every size-k clause outside the formula
 has forbidden-pattern probability either exactly 0 or at least theta, and
-theta is the smallest nonzero value.  Computed here by brute force over all
-2^k * C(n,k) candidates against the exact solution space.
+theta is the smallest nonzero value.  Computed here exactly over all
+2^k * C(n,k) candidates, as popcounts of the learner's split-tree leaves
+over the solution bitmap.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import Clause, CnfFormula, UnsatisfiableError, clause_status, SATISFIED
-from .learner import iter_ksubsets_colex
+from .learner import _split_tree
 from .solutions import Space
 
 
@@ -47,12 +48,13 @@ def resilience_theta(formula: CnfFormula, k, limit=None) -> ResilienceReport:
     best_clause = None
     zero = 0
     candidates = 0
-    for subset in iter_ksubsets_colex(formula.n, k):
-        counts = space.counts_by_pattern(subset)
-        for pattern, cnt in enumerate(counts):
+    columns = [space.var_mask(v) for v in range(formula.n)]
+    for subset, leaves in _split_tree(formula.n, k, columns, space.bitmap):
+        for pattern, leaf in enumerate(leaves):
             if (subset, pattern) in own:
                 continue
             candidates += 1
+            cnt = leaf.bit_count()
             if cnt == 0:
                 zero += 1
             elif best is None or cnt < best:

@@ -199,16 +199,12 @@ class Space:
         Index bit i of the returned list's position corresponds to vs[i],
         matching the Clause.forbidden convention.
         """
-        masks = {0: self.bitmap}
-        for i, v in enumerate(vs):
-            mv = self.var_mask(v)
-            nxt = {}
-            for b, m in masks.items():
-                ones = m & mv
-                nxt[b] = m ^ ones
-                nxt[b | (1 << i)] = ones
-            masks = nxt
-        return [masks[b].bit_count() for b in range(1 << len(vs))]
+        from .learner import _split_tree
+
+        # the one k-subset of k variables is vs itself
+        columns = [self.var_mask(v) for v in vs]
+        ((_, leaves),) = _split_tree(len(vs), len(vs), columns, self.bitmap)
+        return [leaf.bit_count() for leaf in leaves]
 
     @functools.cached_property
     def _select_index(self):

@@ -147,3 +147,24 @@ def correlation(n, clauses, u, v):
             pv = sum(1 for a in sols if a[v] == xv)
             result += abs(Fraction(joint, total) - Fraction(pu * pv, total * total))
     return result
+
+
+def valiant_learn(n, k, samples):
+    """Clause-major elimination: check every size-k clause against every
+    sample and keep the clauses no sample violates.
+
+    samples are assignments (tuples of bools).  Returns the surviving
+    clauses as literal lists, by colex variable set then ascending
+    forbidden pattern read as a binary number whose bit i is the value of
+    the set's i-th variable.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    colex = lambda seq: seq[::-1]
+    out = []
+    for vs in sorted(combinations(range(n), k), key=colex):
+        for pattern in sorted(product((False, True), repeat=k), key=colex):
+            if not any(all(a[v] == x for v, x in zip(vs, pattern)) for a in samples):
+                # the forbidden value of each variable is its negation flag
+                out.append([(v, x) for v, x in zip(vs, pattern)])
+    return out

@@ -2,14 +2,17 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import naive
 from cnflab import (
     Clause,
     CnfFormula,
     GadgetSpec,
+    LearnerInvariantError,
     UnsatisfiableError,
     derived_seed,
     enumerate_solutions,
@@ -22,12 +25,33 @@ from cnflab import (
     predicted_sample_bound,
     RandomCnfSpec,
     sample_complexity_sweep,
+    sample_uniform,
     valiant_learn,
 )
+from cnflab import learner
 from cnflab.learner import colex_rank, iter_ksubsets_colex
 from cnflab.solutions import solution_bitmap
 
-from util import F, pos
+from util import F, bits, pos
+
+
+def oracle_learn(n, k, samples):
+    """The clause-major oracle's output as a CnfFormula."""
+    survivors = naive.valiant_learn(n, k, [bits(a, n) for a in samples])
+    return CnfFormula(n, tuple(Clause.from_literals(c) for c in survivors))
+
+
+@st.composite
+def learning_inputs(draw):
+    """(n, k, samples) with n <= 8; samples may be empty or repeat."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    k = draw(st.integers(min_value=0, max_value=n))
+    samples = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                            max_size=12))
+    if samples:
+        samples += draw(st.lists(st.sampled_from(samples), max_size=4))
+        samples = draw(st.permutations(samples))
+    return n, k, samples
 
 
 def test_colex_order_small():
@@ -66,14 +90,59 @@ def test_valiant_from_all_solutions_recovers_formula():
     assert equivalent(learned, truth)
 
 
-def test_valiant_modes_agree():
-    f = gen_random_cnf(RandomCnfSpec(2, 6, 1.5, "modes"))
-    samples = enumerate_solutions(f).solutions[:5]
-    a = valiant_learn(6, 2, list(samples), mode="sample-major")
-    b = valiant_learn(6, 2, list(samples), mode="clause-major")
-    assert a == b
+@example((6, 2, list(enumerate_solutions(
+    gen_random_cnf(RandomCnfSpec(2, 6, 1.5, "modes"))).solutions[:5])))
+@given(learning_inputs())
+def test_valiant_matches_clause_major_oracle(case):
+    n, k, samples = case
+    assert valiant_learn(n, k, samples) == oracle_learn(n, k, samples)
+
+
+@given(learning_inputs())
+def test_split_tree_walks_colex_and_partitions_items(case):
+    n, k, samples = case
+    columns = learner._columns(samples, n)
+    full = (1 << len(samples)) - 1
+    walk = list(learner._split_tree(n, k, columns, full))
+    assert [subset for subset, _ in walk] == list(iter_ksubsets_colex(n, k))
+    for subset, leaves in walk:
+        assert len(leaves) == 1 << k
+        expect = [0] * (1 << k)
+        for t, a in enumerate(samples):
+            expect[Clause(subset, 0).pattern_of(a)] |= 1 << t
+        assert leaves == expect
+
+
+def test_valiant_edge_cases():
+    # k = 0: the empty clause survives only without samples
+    assert valiant_learn(3, 0, []).clauses == (Clause((), 0),)
+    assert valiant_learn(3, 0, [0b101]).clauses == ()
+    # k = n: only the full-width clauses of unseen assignments survive
+    learned = valiant_learn(3, 3, [0b001, 0b110, 0b001])
+    assert len(learned.clauses) == 6
+    assert solution_bitmap(learned) == (1 << 0b001) | (1 << 0b110)
+    # T = 0 keeps all C(n,k) * 2^k candidates, in colex then pattern order
+    assert valiant_learn(4, 2, []) == oracle_learn(4, 2, [])
+    assert valiant_learn(0, 0, []).clauses == (Clause((), 0),)
     with pytest.raises(ValueError):
-        valiant_learn(3, 2, [], mode="mystery")
+        valiant_learn(2, 3, [])
+    with pytest.raises(ValueError):
+        valiant_learn(2, -1, [])
+
+
+def test_exact_learning_trial_raises_on_a_broken_learner(monkeypatch):
+    truth = gen_disjoint_family(2, 4, "broken")
+    first = sample_uniform(truth, 1, "b")[0]
+    # the truth plus a clause that cuts the first sample
+    rejects_a_sample = lambda n, k, samples: CnfFormula(
+        n, truth.clauses + (Clause(tuple(range(n)), first),))
+    monkeypatch.setattr(learner, "valiant_learn", rejects_a_sample)
+    with pytest.raises(LearnerInvariantError, match="sample violates"):
+        exact_learning_trial(truth, 2, 1, "b")
+    admits_everything = lambda n, k, samples: CnfFormula(n, ())
+    monkeypatch.setattr(learner, "valiant_learn", admits_everything)
+    with pytest.raises(LearnerInvariantError, match="escaped the truth"):
+        exact_learning_trial(truth, 2, 1, "b")
 
 
 def test_valiant_soundness_and_monotonicity():
@@ -216,3 +285,62 @@ def test_sweep_input_validation():
     with pytest.raises(ValueError):
         sample_complexity_sweep([("d", gen_disjoint_family(2, 4, 1))], 2, [],
                                 trials=2, seed_base="s")
+
+
+@st.composite
+def sweep_truths(draw):
+    """A satisfiable formula on n <= 6 variables with clauses of size <= k."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=min(3, n)))
+    clauses = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        size = draw(st.integers(min_value=1, max_value=k))
+        vs = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=size,
+                                       max_size=size))))
+        clauses.append(Clause(vs, draw(st.integers(0, (1 << size) - 1))))
+    truth = CnfFormula(n, tuple(clauses))
+    assume(solution_bitmap(truth))
+    return truth, k
+
+
+def first_equivalent_T(truth, k, t_max, seed):
+    """The least T whose learned formula is equivalent to the truth."""
+    samples = sample_uniform(truth, t_max, seed)
+    for T in range(t_max + 1):
+        if equivalent(valiant_learn(truth.n, k, samples[:T]), truth):
+            return T
+    return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(sweep_truths(), st.integers(min_value=0, max_value=40),
+       st.sampled_from([1, 3, 64]))
+def test_sweep_completion_is_first_equivalent_T(case, t_max, first_chunk):
+    # one trial per sweep, so its first successful T is that trial's
+    # completion time; small first chunks cross several doublings
+    truth, k = case
+    with mock.patch.object(learner, "_FIRST_CHUNK", first_chunk):
+        for base in ("first0", "first1", "first2"):
+            result = sample_complexity_sweep([("h", truth)], k, range(t_max + 1),
+                                             trials=1, seed_base=base)
+            got = next((row.T for row in result.rows if row.successes), None)
+            assert got == first_equivalent_T(truth, k, t_max, derived_seed(base, 0))
+
+
+def test_sweep_edge_cases():
+    truth = gen_disjoint_family(2, 4, "edge")
+    # T = 0 never succeeds; k = n and k = 0 are valid widths
+    zero = sample_complexity_sweep([("d", truth)], 2, [0, 30], trials=4,
+                                   seed_base="e")
+    assert zero.rows[0].successes == 0
+    full = sample_complexity_sweep([("d", truth)], 4, [200], trials=4,
+                                   seed_base="e")
+    assert full.rows[0].successes == sum(
+        exact_learning_trial(truth, 4, 200, derived_seed("e", t)).success
+        for t in range(4))
+    free = CnfFormula(3, ())
+    empty_width = sample_complexity_sweep([("free", free)], 0, [0, 1], trials=2,
+                                          seed_base="e")
+    assert [r.successes for r in empty_width.rows] == [0, 2]
+    with pytest.raises(ValueError):
+        sample_complexity_sweep([("d", truth)], 5, [5], trials=2, seed_base="e")
