@@ -359,9 +359,7 @@ def _cmd_generate(args):
 
 def _cmd_enumerate(args):
     formula = _read_formula(args.formula)
-    sols = enumerate_solutions(
-        formula, cap=args.cap, limit=args.limit, jobs=args.jobs
-    )
+    sols = enumerate_solutions(formula, cap=args.cap, limit=args.limit)
     payload = {
         "count": sols.count,
         "solutions": [_assignment_str(a, formula.n) for a in sols.solutions],
@@ -371,7 +369,7 @@ def _cmd_enumerate(args):
 
 def _cmd_count(args):
     formula = _read_formula(args.formula)
-    payload = {"count": count_solutions(formula, limit=args.limit, jobs=args.jobs)}
+    payload = {"count": count_solutions(formula, limit=args.limit)}
     return _flag_config(args), payload
 
 
@@ -611,14 +609,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, jobs=False):
+    def add_common(p):
         p.add_argument("--limit", type=int, default=None,
                        help="refuse formulas with more than this many variables")
         p.add_argument("--out", default=None,
                        help="write the JSON envelope here instead of stdout")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes (affects wall time only)")
 
     p = sub.add_parser("generate", help="write a formula family instance as DIMACS")
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_SCHEMAS))
@@ -638,12 +633,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list all solutions")
     p.add_argument("formula")
     p.add_argument("--cap", type=int, default=DEFAULT_SOLUTION_CAP)
-    add_common(p, jobs=True)
+    add_common(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("count", help="count solutions exactly")
     p.add_argument("formula")
-    add_common(p, jobs=True)
+    add_common(p)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("sample", help="draw i.i.d. uniform solutions")

@@ -2,10 +2,14 @@
 
 The entire assignment space of a formula over n variables is represented as
 one 2^n-bit Python int ("bitmap"): bit a is set iff assignment a (packed as
-in core) satisfies the formula.  Clause violation sets are cylinders built by
-shift-doubling, so constructing the bitmap costs O(m * 2^n) bit operations,
-and every probability afterwards is a popcount.  Everything is exact; the
-only floats in this module are never returned.
+in core) satisfies the formula.  The bitmap is built as 2^(n-L) rows of
+2^L bits, L = min(n, 16), one row per pattern of the variables >= L: a row
+is the complement of the OR of the 2^L-bit low-variable cylinders of the
+clauses whose literals on the high variables that pattern all falsifies
+(every clause without high variables included), so a build costs about
+m * 2^(n-L) small ORs plus one 2^n-bit join, not m full 2^n-bit cylinders.
+Every probability afterwards is a popcount.  Everything is exact; the only
+floats in this module are never returned.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .core import (
     SamplingBudgetError,
     SolutionCapError,
     UnsatisfiableError,
-    simplify,
 )
 from .generators import GadgetSpec, gen_gadget
 from .rand import SeededRng
@@ -33,6 +36,11 @@ DEFAULT_SOLUTION_CAP = 1 << 20
 # bytes per select-index block; 512 bytes = 4096 assignments
 _BLOCK_BYTES = 512
 
+# the bitmap is built in rows of 2^_LOW_BITS bits, one per pattern of the
+# variables >= _LOW_BITS; a random 3-CNF at n=25 builds in 0.02-0.04 s with
+# widths 14-20 and in 0.19 s with 10 (2-vCPU Xeon guest)
+_LOW_BITS = 16
+
 
 def _check_limit(n, limit):
     lim = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
@@ -42,53 +50,38 @@ def _check_limit(n, limit):
         )
 
 
-def _violation_cylinder(nbits, clause: Clause) -> int:
-    """Bitmap of assignments whose restriction to the clause equals its
-    forbidden pattern.  Empty for tautologies, full for the empty clause."""
-    if clause.tautology:
-        return 0
-    base = 0
-    for i, v in enumerate(clause.vars):
-        if (clause.forbidden >> i) & 1:
-            base |= 1 << v
-    pat = 1 << base
-    in_clause = 0
-    for v in clause.vars:
-        in_clause |= 1 << v
-    for w in range(nbits):
-        if not (in_clause >> w) & 1:
-            pat |= pat << (1 << w)
-    return pat
+def _cylinder(nbits, vs, pattern: int) -> int:
+    """Bitmap over 2^nbits assignments of those whose values on the variable
+    tuple `vs` spell `pattern` (bit i is the value of vs[i]).
 
-
-def _pattern_cylinder(nbits, vs, pattern: int) -> int:
-    """Bitmap of assignments matching `pattern` on the variable tuple `vs`."""
+    Raises ValueError for a variable outside [0, nbits) before allocating.
+    """
     base = 0
+    in_set = 0
     for i, v in enumerate(vs):
+        if not 0 <= v < nbits:
+            raise ValueError("variable %d out of range [0, %d)" % (v, nbits))
+        in_set |= 1 << v
         if (pattern >> i) & 1:
             base |= 1 << v
-    pat = 1 << base
-    in_set = 0
-    for v in vs:
-        in_set |= 1 << v
-    for w in range(nbits):
+    # doubling along the free variables below the lowest one in `vs` turns
+    # the single assignment `base` into one run of ones
+    lowest = (in_set & -in_set).bit_length() - 1 if in_set else nbits
+    pat = ((1 << (1 << lowest)) - 1) << base
+    for w in range(lowest + 1, nbits):
         if not (in_set >> w) & 1:
             pat |= pat << (1 << w)
     return pat
 
 
-def _pinning_cylinder(nbits, pinning) -> int:
+def pinning_bitmap(n, pinning) -> int:
+    """Bitmap over all 2^n assignments of those agreeing with the pinning."""
     vs = tuple(sorted(pinning))
     pattern = 0
     for i, v in enumerate(vs):
         if pinning[v]:
             pattern |= 1 << i
-    return _pattern_cylinder(nbits, vs, pattern)
-
-
-def pinning_bitmap(n, pinning) -> int:
-    """Bitmap over all 2^n assignments of those agreeing with the pinning."""
-    return _pinning_cylinder(n, pinning)
+    return _cylinder(n, vs, pattern)
 
 
 def select_bit(bitmap, rank) -> int:
@@ -112,86 +105,68 @@ def select_bit(bitmap, rank) -> int:
 
 
 def _bitmap(nbits, clauses) -> int:
-    full = (1 << (1 << nbits)) - 1
-    viol = 0
+    """Solution bitmap by Shannon expansion on the variables >= _LOW_BITS.
+
+    Each row fixes the high variables to one pattern h and is the 2^low-bit
+    complement of the low-variable violation cylinders of the clauses whose
+    high literals h all falsifies; the rows, joined little-endian, are the
+    2^nbits-bit bitmap.
+    """
+    low = min(nbits, _LOW_BITS)
+    full = (1 << (1 << low)) - 1
+    base = 0
+    split = []  # (high-variable mask, forbidden high pattern, low cylinder)
     for c in clauses:
-        viol |= _violation_cylinder(nbits, c)
-    return full ^ viol
+        if c.tautology:
+            continue
+        low_vs, low_pat, high_mask, high_pat = [], 0, 0, 0
+        for i, v in enumerate(c.vars):
+            bit = (c.forbidden >> i) & 1
+            if v < low:
+                low_pat |= bit << len(low_vs)
+                low_vs.append(v)
+            else:
+                high_mask |= 1 << (v - low)
+                high_pat |= bit << (v - low)
+        cyl = _cylinder(low, low_vs, low_pat)
+        if high_mask:
+            split.append((high_mask, high_pat, cyl))
+        else:
+            base |= cyl
+    if low == nbits:
+        return full ^ base
+    rows = []
+    for h in range(1 << (nbits - low)):
+        viol = base
+        for high_mask, high_pat, cyl in split:
+            if h & high_mask == high_pat:
+                viol |= cyl
+        rows.append((full ^ viol).to_bytes(1 << (low - 3), "little"))
+    return int.from_bytes(b"".join(rows), "little")
 
 
-def _prefix_block(formula, high_bits, prefix):
-    """Solution bitmap of one contiguous assignment block.
-
-    The block fixes the top `high_bits` variables to `prefix`; the result is
-    a 2^(n - high_bits)-bit bitmap over the remaining variables.
-    """
-    low = formula.n - high_bits
-    pin = {low + t: bool((prefix >> t) & 1) for t in range(high_bits)}
-    reduced = simplify(formula, pin)
-    return _bitmap(low, reduced.clauses)
-
-
-def solution_bitmap(formula: CnfFormula, limit=None, jobs=1) -> int:
-    """The formula's full solution bitmap.
-
-    With jobs > 1 the assignment space is split into contiguous prefix
-    blocks computed by worker processes and OR-merged in block order, so the
-    result is independent of the worker count.  Falls back to the serial
-    path if a process pool cannot be created.
-    """
+def solution_bitmap(formula: CnfFormula, limit=None) -> int:
+    """The formula's full solution bitmap."""
     _check_limit(formula.n, limit)
-    if jobs > 1 and formula.n >= 2:
-        high = 1
-        while (1 << high) < min(jobs, 1 << (formula.n - 1)):
-            high += 1
-        args = [(formula, high, p) for p in range(1 << high)]
-        try:
-            import concurrent.futures
-
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                blocks = list(pool.map(_pool_worker, args))
-        except (OSError, PermissionError, ImportError):
-            blocks = [_pool_worker(a) for a in args]
-        low = formula.n - high
-        out = 0
-        for p, bm in enumerate(blocks):
-            out |= bm << (p << low)
-        return out
     return _bitmap(formula.n, formula.clauses)
-
-
-def _pool_worker(args):
-    formula, high, prefix = args
-    return _prefix_block(formula, high, prefix)
 
 
 class Space:
     """Enumerated solution space with popcount-based exact queries."""
 
-    def __init__(self, formula: CnfFormula, limit=None, jobs=1):
-        _check_limit(formula.n, limit)
+    def __init__(self, formula: CnfFormula, limit=None):
         self.formula = formula
         self.n = formula.n
-        self.bitmap = solution_bitmap(formula, limit=limit, jobs=jobs)
+        self.bitmap = solution_bitmap(formula, limit=limit)
         self.count = self.bitmap.bit_count()
-
-    @functools.cached_property
-    def _var_masks(self):
-        return {}
 
     def var_mask(self, v) -> int:
         """Bitmap of assignments with variable v True (formula ignored)."""
-        cached = self._var_masks.get(v)
-        if cached is None:
-            block = ((1 << (1 << v)) - 1) << (1 << v)
-            for w in range(v + 1, self.n):
-                block |= block << (1 << w)
-            cached = self._var_masks[v] = block
-        return cached
+        return _cylinder(self.n, (v,), 1)
 
     def count_matching(self, vs, pattern: int) -> int:
         """Number of solutions matching `pattern` on variable tuple `vs`."""
-        return (self.bitmap & _pattern_cylinder(self.n, vs, pattern)).bit_count()
+        return (self.bitmap & _cylinder(self.n, vs, pattern)).bit_count()
 
     def counts_by_pattern(self, vs):
         """Solution counts for all 2^k patterns on `vs` in one sweep.
@@ -264,13 +239,13 @@ class SolutionSet:
     count: int
 
 
-def enumerate_solutions(formula, cap=DEFAULT_SOLUTION_CAP, limit=None, jobs=1) -> SolutionSet:
+def enumerate_solutions(formula, cap=DEFAULT_SOLUTION_CAP, limit=None) -> SolutionSet:
     """Materialize every satisfying assignment in increasing packed order.
 
     An unsatisfiable formula yields an empty set (not an error); exceeding
     `cap` raises SolutionCapError before materializing.
     """
-    space = Space(formula, limit=limit, jobs=jobs)
+    space = Space(formula, limit=limit)
     if cap is not None and space.count > cap:
         raise SolutionCapError(
             "%d solutions exceed the cap %d" % (space.count, cap)
@@ -278,8 +253,8 @@ def enumerate_solutions(formula, cap=DEFAULT_SOLUTION_CAP, limit=None, jobs=1) -
     return SolutionSet(formula, tuple(space.iter_solutions()), space.count)
 
 
-def count_solutions(formula, limit=None, jobs=1) -> int:
-    return Space(formula, limit=limit, jobs=jobs).count
+def count_solutions(formula, limit=None) -> int:
+    return Space(formula, limit=limit).count
 
 
 def sample_uniform(formula, T, seed, limit=None, method="enumerate", reject_budget=None):
@@ -335,11 +310,11 @@ def conditional_prob(formula, condition, event, limit=None) -> Fraction:
     """Exact Pr[X agrees with event | X agrees with condition] under the
     uniform solution distribution."""
     space = _space_checked(formula, limit)
-    base = space.bitmap & _pinning_cylinder(space.n, condition)
+    base = space.bitmap & pinning_bitmap(space.n, condition)
     base_count = base.bit_count()
     if base_count == 0:
         raise InfeasiblePinningError("conditioning event has zero mass")
-    joint = base & _pinning_cylinder(space.n, event)
+    joint = base & pinning_bitmap(space.n, event)
     return Fraction(joint.bit_count(), base_count)
 
 

@@ -168,3 +168,26 @@ def valiant_learn(n, k, samples):
                 # the forbidden value of each variable is its negation flag
                 out.append([(v, x) for v, x in zip(vs, pattern)])
     return out
+
+
+def shift_doubling_bitmap(n, clauses):
+    """2^n-bit solution bitmap built one violation cylinder per clause.
+
+    clauses are plain (vars, forbidden) tuples: distinct variables and the
+    packed violating pattern, bit i the value of vars[i].  Bit a of the
+    result is set iff packed assignment a (bit v = value of variable v)
+    violates none of them.  Each cylinder starts as the one assignment that
+    spells the pattern and doubles along every variable outside the clause.
+    """
+    viol = 0
+    for vs, forbidden in clauses:
+        base = 0
+        for i, v in enumerate(vs):
+            if (forbidden >> i) & 1:
+                base |= 1 << v
+        cylinder = 1 << base
+        for w in range(n):
+            if w not in vs:
+                cylinder |= cylinder << (1 << w)
+        viol |= cylinder
+    return ((1 << (1 << n)) - 1) ^ viol

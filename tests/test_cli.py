@@ -275,6 +275,18 @@ def test_reveal_sim_report(tmp_path, capsys):
         assert len(trace["solution"]) == 12
 
 
+def test_reveal_sim_prefix_variable_out_of_range(tmp_path, capsys):
+    path = formula_file(tmp_path, "three.cnf", F(3, pos(0, 1)))
+    cfg_path = tmp_path / "reveal.json"
+    cfg_path.write_text(json.dumps({
+        "target": 0, "trials": 3, "seed": "s", "alpha": 0.1, "p_hd": 1.0,
+        "eps_bd": 0.1, "zeta": 0.1, "prefix": {"5": True},
+    }))
+    code, out, err = invoke(capsys, "reveal-sim", path, str(cfg_path))
+    assert code == 1 and out == ""
+    assert "variable 5 out of range [0, 3)" in err
+
+
 def test_reveal_sim_config_validation(tmp_path, capsys):
     path = formula_file(tmp_path, "easy.cnf", F(12, pos(0, 1)))
     cfg_path = tmp_path / "reveal.json"

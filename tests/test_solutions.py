@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnflab import (
     Clause,
@@ -30,7 +31,7 @@ from cnflab import (
     tv_distance,
     verify_gadget_counts,
 )
-from cnflab.solutions import pinning_bitmap, select_bit, solution_bitmap
+from cnflab.solutions import _LOW_BITS, pinning_bitmap, select_bit, solution_bitmap
 
 import naive
 from util import F, pos, neg, to_naive, bits, from_bits
@@ -78,9 +79,94 @@ def test_enumeration_limit_guard():
     assert count_solutions(f, limit=31) == 1 << 31
 
 
-def test_parallel_bitmap_matches_serial():
-    f = gen_random_cnf(RandomCnfSpec(3, 16, 2.0, "par"))
-    assert solution_bitmap(f, jobs=4) == solution_bitmap(f, jobs=1)
+def _plain(clauses):
+    return [(c.vars, c.forbidden) for c in clauses if not c.tautology]
+
+
+@st.composite
+def bitmap_formulas(draw):
+    """Formulas at n in 0..16 (one bitmap row) or 17..20 (several rows) whose
+    clauses are all-low, all-high, mixed, empty, tautological or repeated."""
+    n = draw(st.one_of(st.integers(0, _LOW_BITS), st.integers(_LOW_BITS + 1, _LOW_BITS + 4)))
+    low = list(range(min(n, _LOW_BITS)))
+    high = list(range(_LOW_BITS, n))
+    kinds = ["empty"] + ["low"] * bool(low) + ["high"] * bool(high)
+    kinds += ["mixed"] * bool(low and high) + ["tautology"] * bool(n)
+    clauses = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        if kind == "empty":
+            lits = []
+        elif kind == "tautology":
+            v = draw(st.integers(0, n - 1))
+            lits = [(v, False), (v, True)]
+        else:
+            pool = {"low": low, "high": high, "mixed": low + high}[kind]
+            vs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+            if kind == "mixed":
+                vs += [draw(st.sampled_from(low)), draw(st.sampled_from(high))]
+            lits = [(v, draw(st.booleans())) for v in dict.fromkeys(vs)]
+        clauses.append(Clause.from_literals(lits))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=3))
+    return CnfFormula(n, tuple(clauses))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bitmap_formulas())
+def test_bitmap_matches_shift_doubling_reference(f):
+    assert solution_bitmap(f) == naive.shift_doubling_bitmap(f.n, _plain(f.clauses))
+
+
+def test_bitmap_matches_reference_on_dense_n25():
+    f = gen_random_cnf(RandomCnfSpec(3, 25, 3.0, "rows"))
+    assert solution_bitmap(f) == naive.shift_doubling_bitmap(25, _plain(f.clauses))
+
+
+@st.composite
+def small_pinnings(draw):
+    n = draw(st.integers(0, 8))
+    vs = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n, unique=True)) if n else []
+    return n, {v: draw(st.booleans()) for v in vs}
+
+
+def _agrees(a, pinning):
+    return all(bool((a >> v) & 1) == x for v, x in pinning.items())
+
+
+@given(small_pinnings())
+def test_pinning_bitmap_matches_definition(case):
+    n, pinning = case
+    expected = sum(1 << a for a in range(1 << n) if _agrees(a, pinning))
+    assert pinning_bitmap(n, pinning) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_pinnings(), st.integers(0, 2**32 - 1))
+def test_count_matching_and_var_mask_match_definition(case, seed):
+    n, pinning = case
+    f = gen_random_cnf(RandomCnfSpec(2, n, 1.0, seed)) if n >= 2 else CnfFormula(n, ())
+    space = Space(f)
+    vs = tuple(pinning)
+    pattern = sum(1 << i for i, v in enumerate(vs) if pinning[v])
+    expected = sum(1 for a in range(1 << n) if f.satisfied_by(a) and _agrees(a, pinning))
+    assert space.count_matching(vs, pattern) == expected
+    for v in range(n):
+        assert space.var_mask(v) == sum(1 << a for a in range(1 << n) if (a >> v) & 1)
+
+
+def test_out_of_range_variables_raise():
+    f = CnfFormula(3, ())
+    with pytest.raises(ValueError, match="variable 5 out of range"):
+        conditional_prob(f, {0: True}, {5: False})
+    with pytest.raises(ValueError, match="variable 3 out of range"):
+        pinning_bitmap(3, {3: True})
+    with pytest.raises(ValueError, match="variable -1 out of range"):
+        pinning_bitmap(3, {-1: True})
+    space = Space(f)
+    with pytest.raises(ValueError, match="variable 3 out of range"):
+        space.var_mask(3)
+    with pytest.raises(ValueError, match="variable -1 out of range"):
+        space.count_matching((0, -1), 0)
 
 
 def test_space_counts_by_pattern_sums_to_count():
