@@ -39,23 +39,15 @@ from .generators import (
     gen_random_cnf,
 )
 from .learner import exact_learning_trial, sample_complexity_sweep
-from .rand import ALGORITHM, SeededRng
+from .rand import ALGORITHM
 from .resilience import check_local_uniformity, resilience_theta
-from .reveal import (
-    RevealParams,
-    estimate_nice_probability,
-    is_nice,
-    reveal,
-)
+from .reveal import RevealParams, estimate_nice_probability
 from .solutions import (
     DEFAULT_SOLUTION_CAP,
-    Space,
     enumerate_solutions,
     count_solutions,
     marginals,
-    pinning_bitmap,
     sample_uniform,
-    select_bit,
     tv_distance,
     verify_gadget_counts,
 )
@@ -541,34 +533,21 @@ def _cmd_reveal_sim(args):
     estimate = estimate_nice_probability(
         formula, target, prefix, values["trials"], values["seed"], params,
         target_value=values.get("target_value"), limit=values.get("limit"),
+        traces=values.get("traces", 3),
     )
-    # Re-draw the first few solutions with the same seed for sample traces;
-    # the draw sequence matches the estimate's, so the traces are the ones
-    # actually measured.
-    n_traces = min(values.get("traces", 3), values["trials"])
-    traces = []
-    if n_traces:
-        space = Space(formula, limit=values.get("limit"))
-        mask = space.bitmap & pinning_bitmap(formula.n, prefix)
-        rng = SeededRng(values["seed"])
-        feasible = mask.bit_count()
-        for _ in range(n_traces):
-            tau = select_bit(mask, rng.randbelow(feasible))
-            r = reveal(formula, tau, target, prefix, params)
-            report = is_nice(
-                formula, r, target, prefix, params.zeta,
-                k=params.k, target_value=values.get("target_value"),
-            )
-            traces.append({
-                "solution": _assignment_str(tau, formula.n),
-                "S": list(r.S),
-                "tau_S": {str(v): bool(b) for v, b in sorted(r.tau_S.items())},
-                "c0": r.c0,
-                "order": list(r.trace),
-                "early_reason": r.early_reason,
-                "nice": report.nice,
-                "diagnosis": report.diagnosis,
-            })
+    traces = [
+        {
+            "solution": _assignment_str(tau, formula.n),
+            "S": list(r.S),
+            "tau_S": {str(v): bool(b) for v, b in sorted(r.tau_S.items())},
+            "c0": r.c0,
+            "order": list(r.trace),
+            "early_reason": r.early_reason,
+            "nice": report.nice,
+            "diagnosis": report.diagnosis,
+        }
+        for tau, r, report in estimate.traces
+    ]
     payload = {
         "fraction": _rat(estimate.fraction),
         "successes": estimate.successes,

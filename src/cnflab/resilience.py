@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .core import Clause, CnfFormula, UnsatisfiableError, clause_status, SATISFIED
 from .learner import _split_tree
-from .solutions import Space
+from .solutions import Space, marginals
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,15 @@ def check_local_uniformity(formula: CnfFormula, t, limit=None) -> LocalUniformit
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    space = Space(formula, limit=limit)
-    if space.count == 0:
-        raise UnsatisfiableError("marginals are undefined for an unsatisfiable formula")
+    probs = marginals(formula, limit=limit)
     params = formula.params
     condition = (
         2 ** params.k_min >= 2 * math.e * params.d_max * t and t >= params.k_max
     )
     best = Fraction(0)
     best_var = 0
-    for v in range(formula.n):
-        ones = (space.bitmap & space.var_mask(v)).bit_count()
-        m = Fraction(max(ones, space.count - ones), space.count)
+    for v, p in enumerate(probs):
+        m = max(p, 1 - p)
         if m > best:
             best = m
             best_var = v

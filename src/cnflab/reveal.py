@@ -29,7 +29,7 @@ from .core import (
     simplify,
 )
 from .rand import SeededRng
-from .solutions import Space, pinning_bitmap, select_bit
+from .solutions import Space
 from .structure import (
     BadSets,
     EMPTY_BAD_SETS,
@@ -408,33 +408,40 @@ class NiceEstimate:
     wilson_low: float
     wilson_high: float
     diagnosis_counts: dict
+    traces: tuple = ()  # (tau, RevealResult, NiceReport) of the first trials
 
 
 def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
                               seed, params: RevealParams, target_value=None,
-                              limit=None) -> NiceEstimate:
+                              limit=None, traces=0) -> NiceEstimate:
     """Empirical probability that revealing a solution drawn from the
     prefix-conditioned uniform distribution produces a nice result, with a
-    Wilson 95% interval."""
+    Wilson 95% interval.
+
+    The first `traces` trials measured (all of them if there are fewer) are
+    kept on the result as (tau, RevealResult, NiceReport) tuples.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     space = Space(formula, limit=limit)
     if space.count == 0:
         raise UnsatisfiableError("formula is unsatisfiable")
-    mask = space.bitmap & pinning_bitmap(formula.n, prefix)
-    feasible = mask.bit_count()
-    if feasible == 0:
+    space = space.restrict(prefix)
+    if space.count == 0:
         raise InfeasiblePinningError("no solution agrees with the prefix")
     rng = SeededRng(seed)
     successes = 0
     diagnosis_counts = {}
-    for _ in range(trials):
-        tau = select_bit(mask, rng.randbelow(feasible))
+    kept = []
+    for i in range(trials):
+        tau = space.select(rng.randbelow(space.count))
         result = reveal(formula, tau, target, prefix, params)
         report = is_nice(
             formula, result, target, prefix, params.zeta,
             k=params.k, target_value=target_value,
         )
+        if i < traces:
+            kept.append((tau, result, report))
         if report.nice:
             successes += 1
         diagnosis_counts[report.diagnosis] = (
@@ -448,6 +455,7 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
         wilson_low=low,
         wilson_high=high,
         diagnosis_counts=diagnosis_counts,
+        traces=tuple(kept),
     )
 
 

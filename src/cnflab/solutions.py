@@ -14,6 +14,7 @@ floats in this module are never returned.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,13 @@ DEFAULT_SOLUTION_CAP = 1 << 20
 
 # bytes per select-index block; 512 bytes = 4096 assignments
 _BLOCK_BYTES = 512
+
+# (width, low-half mask) for select's descent inside a block: widths 2048,
+# 1024, ..., 1 halve the block's 4096 bits down to one
+_HALVES = tuple(
+    (1 << e, (1 << (1 << e)) - 1)
+    for e in reversed(range((_BLOCK_BYTES * 8).bit_length() - 1))
+)
 
 # the bitmap is built in rows of 2^_LOW_BITS bits, one per pattern of the
 # variables >= _LOW_BITS; a random 3-CNF at n=25 builds in 0.02-0.04 s with
@@ -82,26 +90,6 @@ def pinning_bitmap(n, pinning) -> int:
         if pinning[v]:
             pattern |= 1 << i
     return _cylinder(n, vs, pattern)
-
-
-def select_bit(bitmap, rank) -> int:
-    """Position of the 0-based rank-th set bit of a nonnegative int."""
-    if rank < 0:
-        raise IndexError("rank out of range")
-    nbytes = (bitmap.bit_length() + 7) // 8
-    data = bitmap.to_bytes(nbytes, "little")
-    for off in range(0, nbytes, 8):
-        word = int.from_bytes(data[off : off + 8], "little")
-        count = word.bit_count()
-        if rank < count:
-            while True:
-                low = word & -word
-                if rank == 0:
-                    return off * 8 + low.bit_length() - 1
-                word ^= low
-                rank -= 1
-        rank -= count
-    raise IndexError("rank out of range")
 
 
 def _bitmap(nbits, clauses) -> int:
@@ -152,13 +140,37 @@ def solution_bitmap(formula: CnfFormula, limit=None) -> int:
 
 
 class Space:
-    """Enumerated solution space with popcount-based exact queries."""
+    """Enumerated solution space with popcount-based exact queries.
+
+    `select` is the one map from a uniform rank to a solution; `restrict`
+    conditions the space on a pinning, so a draw from the restricted space
+    is a uniform solution agreeing with it.
+    """
 
     def __init__(self, formula: CnfFormula, limit=None):
         self.formula = formula
         self.n = formula.n
         self.bitmap = solution_bitmap(formula, limit=limit)
         self.count = self.bitmap.bit_count()
+
+    def restrict(self, pinning) -> Space:
+        """The solutions agreeing with `pinning` (variable -> value).
+
+        The bitmap is this one ANDed with the pinning's cylinder, without a
+        rebuild; the formula gains one unit clause per pinned variable, so
+        it has exactly these solutions.  An infeasible pinning gives an
+        empty space; a variable outside [0, n) raises ValueError.
+        """
+        bitmap = self.bitmap & pinning_bitmap(self.n, pinning)
+        units = tuple(
+            Clause.from_literals([(v, not pinning[v])]) for v in sorted(pinning)
+        )
+        sub = Space.__new__(Space)
+        sub.formula = CnfFormula(self.n, self.formula.clauses + units)
+        sub.n = self.n
+        sub.bitmap = bitmap
+        sub.count = bitmap.bit_count()
+        return sub
 
     def var_mask(self, v) -> int:
         """Bitmap of assignments with variable v True (formula ignored)."""
@@ -183,6 +195,8 @@ class Space:
 
     @functools.cached_property
     def _select_index(self):
+        """The bitmap in 4096-bit blocks, and the solution count before each
+        block (one more entry: the total)."""
         nbytes = max(1, ((1 << self.n) + 7) // 8)
         raw = self.bitmap.to_bytes(nbytes, "little")
         blocks = []
@@ -194,33 +208,27 @@ class Space:
         return blocks, cumulative
 
     def select(self, rank: int) -> int:
-        """The rank-th solution in increasing assignment order (0-based)."""
+        """The rank-th solution in increasing assignment order (0-based).
+
+        Bisects the block counts for the block holding it, then halves that
+        block 12 times, stepping past the low half when the rank lies above
+        it (the bits beyond the current half are never counted: each later
+        mask is narrower).
+        """
         if not 0 <= rank < self.count:
             raise IndexError("rank out of range")
         blocks, cumulative = self._select_index
-        lo, hi = 0, len(blocks) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid + 1] <= rank:
-                lo = mid + 1
-            else:
-                hi = mid
-        remaining = rank - cumulative[lo]
-        chunk = blocks[lo]
-        pos = lo * _BLOCK_BYTES * 8
-        while True:
-            word = chunk & 0xFFFFFFFFFFFFFFFF
-            wc = word.bit_count()
-            if remaining < wc:
-                while True:
-                    low_bit = word & -word
-                    if remaining == 0:
-                        return pos + low_bit.bit_length() - 1
-                    word ^= low_bit
-                    remaining -= 1
-            remaining -= wc
-            chunk >>= 64
-            pos += 64
+        b = bisect.bisect_right(cumulative, rank) - 1
+        remaining = rank - cumulative[b]
+        chunk = blocks[b]
+        pos = b * _BLOCK_BYTES * 8
+        for width, mask in _HALVES:
+            low = (chunk & mask).bit_count()
+            if remaining >= low:
+                remaining -= low
+                chunk >>= width
+                pos += width
+        return pos
 
     def iter_solutions(self):
         blocks, _ = self._select_index
@@ -309,13 +317,10 @@ def marginals(formula, limit=None):
 def conditional_prob(formula, condition, event, limit=None) -> Fraction:
     """Exact Pr[X agrees with event | X agrees with condition] under the
     uniform solution distribution."""
-    space = _space_checked(formula, limit)
-    base = space.bitmap & pinning_bitmap(space.n, condition)
-    base_count = base.bit_count()
-    if base_count == 0:
+    base = _space_checked(formula, limit).restrict(condition)
+    if base.count == 0:
         raise InfeasiblePinningError("conditioning event has zero mass")
-    joint = base & pinning_bitmap(space.n, event)
-    return Fraction(joint.bit_count(), base_count)
+    return Fraction(base.restrict(event).count, base.count)
 
 
 def forbidden_pattern_prob(formula, cstar: Clause, limit=None) -> Fraction:

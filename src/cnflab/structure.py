@@ -137,6 +137,22 @@ class BadSets:
 EMPTY_BAD_SETS = BadSets(frozenset(), frozenset(), ())
 
 
+def _cascade_start(formula, p_hd, eps_bd, alpha, k):
+    """The bad-set cascade's initial bad variables (degree > p_hd * alpha)
+    and its absorption trigger eps_bd * k (k defaults to the largest clause
+    size)."""
+    if k is None:
+        k = formula.params.k_max
+    degrees = formula.variable_degrees()
+    v_bad = {v for v in range(formula.n) if degrees[v] > p_hd * alpha}
+    return v_bad, eps_bd * k
+
+
+def _overlap(clause, v_bad):
+    """Number of the clause's variables that are bad."""
+    return sum(1 for v in clause.vars if v in v_bad)
+
+
 def identify_bad(formula: CnfFormula, p_hd, eps_bd, alpha, k=None) -> BadSets:
     """Fixed point of the bad-set cascade.
 
@@ -145,21 +161,16 @@ def identify_bad(formula: CnfFormula, p_hd, eps_bd, alpha, k=None) -> BadSets:
     bad, absorb the smallest-index such clause (all its variables become
     bad).  k defaults to the largest clause size.
     """
-    if k is None:
-        k = formula.params.k_max
-    threshold = p_hd * alpha
-    degrees = formula.variable_degrees()
-    v_bad = {v for v in range(formula.n) if degrees[v] > threshold}
+    v_bad, trigger = _cascade_start(formula, p_hd, eps_bd, alpha, k)
     c_bad = set()
     trace = []
-    trigger = eps_bd * k
     active = _active_clauses(formula)
     while True:
         hit = None
         for i, c in active:
             if i in c_bad:
                 continue
-            overlap = sum(1 for v in c.vars if v in v_bad)
+            overlap = _overlap(c, v_bad)
             if overlap > trigger:
                 hit = (i, c, overlap)
                 break
@@ -176,16 +187,11 @@ def replay_bad_trace(formula: CnfFormula, p_hd, eps_bd, alpha, trace, k=None) ->
     """Rebuild the bad sets by applying a recorded trace, re-verifying each
     step's trigger count.  Raises ValueError on any mismatch, so equality
     with a fresh identify_bad run certifies the trace."""
-    if k is None:
-        k = formula.params.k_max
-    degrees = formula.variable_degrees()
-    threshold = p_hd * alpha
-    v_bad = {v for v in range(formula.n) if degrees[v] > threshold}
+    v_bad, trigger = _cascade_start(formula, p_hd, eps_bd, alpha, k)
     c_bad = set()
-    trigger = eps_bd * k
     for i, recorded in trace:
         c = formula.clauses[i]
-        overlap = sum(1 for v in c.vars if v in v_bad)
+        overlap = _overlap(c, v_bad)
         if overlap != recorded or not overlap > trigger:
             raise ValueError("trace step (%d, %d) does not replay" % (i, recorded))
         c_bad.add(i)

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from cnflab import GadgetSpec, gen_disjoint_family, gen_gadget, write_dimacs
+from cnflab import (
+    GadgetSpec,
+    RevealParams,
+    estimate_nice_probability,
+    gen_disjoint_family,
+    gen_gadget,
+    write_dimacs,
+)
 from cnflab.cli import ExperimentConfig, run, validate_config
 
 from util import F, pos
@@ -273,6 +280,29 @@ def test_reveal_sim_report(tmp_path, capsys):
         assert trace["nice"] is True
         assert trace["S"] == [] and trace["c0"] is None
         assert len(trace["solution"]) == 12
+    # with a prefix, the traces are the library estimate's first runs
+    gadget = gen_gadget(GadgetSpec(3, 2))
+    path = formula_file(tmp_path, "gadget.cnf", gadget)
+    config = {"target": 0, "trials": 12, "seed": "tr", "alpha": 0.5,
+              "p_hd": 100.0, "eps_bd": 0.5, "zeta": 0.4, "prefix": {"4": True}}
+    cfg_path.write_text(json.dumps(config))
+    payload = invoke_json(capsys, "reveal-sim", path, str(cfg_path))["payload"]
+    params = RevealParams(alpha=0.5, p_hd=100.0, eps_bd=0.5, zeta=0.4)
+    est = estimate_nice_probability(gadget, 0, {4: True}, 12, "tr", params, traces=3)
+    assert payload["successes"] == est.successes
+    assert payload["traces"] == [
+        {
+            "solution": "".join(str((tau >> v) & 1) for v in range(6)),
+            "S": list(r.S),
+            "tau_S": {str(v): b for v, b in sorted(r.tau_S.items())},
+            "c0": r.c0,
+            "order": list(r.trace),
+            "early_reason": r.early_reason,
+            "nice": report.nice,
+            "diagnosis": report.diagnosis,
+        }
+        for tau, r, report in est.traces
+    ]
 
 
 def test_reveal_sim_prefix_variable_out_of_range(tmp_path, capsys):

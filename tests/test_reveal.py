@@ -10,6 +10,7 @@ from cnflab import (
     GadgetSpec,
     InfeasiblePinningError,
     RevealParams,
+    SeededRng,
     UnsatisfiableError,
     alive_variables,
     associated_component,
@@ -340,6 +341,31 @@ def test_estimate_nice_probability_errors():
         estimate_nice_probability(F(1, pos(0), neg(0)), 0, {}, 5, "s", PARAMS)
     with pytest.raises(ValueError):
         estimate_nice_probability(F(2, pos(0)), 1, {}, 0, "s", PARAMS)
+
+
+def test_estimate_nice_probability_traces_are_the_measured_runs():
+    prefix = {4: True}
+    est = estimate_nice_probability(GADGET, 0, prefix, 30, "tr", PARAMS, traces=30)
+    assert len(est.traces) == 30
+    # oracle: redraw the same ranks from the seed over the agreeing solutions
+    agreeing = [
+        tau for tau in enumerate_solutions(GADGET).solutions
+        if all(bool((tau >> v) & 1) == x for v, x in prefix.items())
+    ]
+    rng = SeededRng("tr")
+    for tau, result, report in est.traces:
+        assert tau == agreeing[rng.randbelow(len(agreeing))]
+        assert all(bool((tau >> v) & 1) == x for v, x in prefix.items())
+        assert result == reveal(GADGET, tau, 0, prefix, PARAMS)
+        assert report == is_nice(GADGET, result, 0, prefix, PARAMS.zeta, k=PARAMS.k)
+    assert len({result.trace for _, result, _ in est.traces}) > 1
+    assert estimate_nice_probability(
+        GADGET, 0, prefix, 30, "tr", PARAMS, traces=5
+    ).traces == est.traces[:5]
+    assert estimate_nice_probability(
+        GADGET, 0, prefix, 3, "tr", PARAMS, traces=9
+    ).traces == est.traces[:3]
+    assert estimate_nice_probability(GADGET, 0, prefix, 3, "tr", PARAMS).traces == ()
 
 
 def test_wilson_interval_basics():

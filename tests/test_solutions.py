@@ -31,7 +31,7 @@ from cnflab import (
     tv_distance,
     verify_gadget_counts,
 )
-from cnflab.solutions import _LOW_BITS, pinning_bitmap, select_bit, solution_bitmap
+from cnflab.solutions import _LOW_BITS, pinning_bitmap, solution_bitmap
 
 import naive
 from util import F, pos, neg, to_naive, bits, from_bits
@@ -188,14 +188,92 @@ def test_space_select_matches_iteration():
         space.select(space.count)
 
 
-def test_pinning_bitmap_and_select_bit():
+def _forbid(pinning):
+    """The clause whose one falsifying partial assignment is `pinning`."""
+    return Clause.from_literals(sorted(pinning.items()))
+
+
+@st.composite
+def select_formulas(draw):
+    """Formulas at n in 0..2 with any solution set, or at n in 12..16, whose
+    4096-assignment select blocks (one per pattern of the variables >= 12)
+    are each empty, full, one solution, or cut by a few random clauses."""
+    n = draw(st.one_of(st.integers(0, 2), st.integers(12, 16)))
+    if n <= 2:
+        keep = draw(st.sets(st.integers(0, (1 << n) - 1)))
+        return CnfFormula(n, tuple(
+            _forbid({v: bool((a >> v) & 1) for v in range(n)})
+            for a in range(1 << n) if a not in keep
+        ))
+    clauses = []
+    for h in range(1 << (n - 12)):
+        high = {v: bool((h >> (v - 12)) & 1) for v in range(12, n)}
+        kind = draw(st.sampled_from(["empty", "full", "single", "cut"]))
+        if kind == "empty":
+            clauses.append(_forbid(high))
+        elif kind == "single":
+            a = draw(st.integers(0, 4095))
+            clauses += [_forbid({**high, v: not (a >> v) & 1}) for v in range(12)]
+        elif kind == "cut":
+            for _ in range(draw(st.integers(1, 4))):
+                vs = draw(st.lists(st.integers(0, 11), min_size=1, max_size=3, unique=True))
+                clauses.append(_forbid({**high, **{v: draw(st.booleans()) for v in vs}}))
+    return CnfFormula(n, tuple(clauses))
+
+
+@settings(max_examples=60, deadline=None)
+@given(select_formulas())
+def test_select_matches_sorted_set_bits(f):
+    space = Space(f)
+    set_bits = [a for a, bit in enumerate(reversed(bin(space.bitmap)[2:])) if bit == "1"]
+    assert space.count == len(set_bits)
+    assert [space.select(r) for r in range(space.count)] == set_bits
+    for rank in (-1, space.count):
+        with pytest.raises(IndexError):
+            space.select(rank)
+
+
+def test_pinning_bitmap_and_restrict():
     bm = pinning_bitmap(3, {0: True})
     assert bm == sum(1 << a for a in range(8) if a & 1)
-    assert select_bit(0b10110, 0) == 1
-    assert select_bit(0b10110, 1) == 2
-    assert select_bit(0b10110, 2) == 4
+    sub = Space(CnfFormula(3, ())).restrict({0: True})
+    assert sub.bitmap == bm and sub.count == 4
+    assert [sub.select(r) for r in range(4)] == [1, 3, 5, 7]
     with pytest.raises(IndexError):
-        select_bit(0b10110, 3)
+        sub.select(4)
+    infeasible = Space(F(2, pos(0))).restrict({0: False})
+    assert infeasible.count == 0
+    with pytest.raises(ValueError, match="variable 3 out of range"):
+        Space(CnfFormula(3, ())).restrict({3: True})
+    with pytest.raises(ValueError, match="variable -1 out of range"):
+        Space(CnfFormula(3, ())).restrict({-1: False})
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_pinnings(), st.integers(0, 2**32 - 1))
+def test_restrict_matches_definition(case, seed):
+    n, pinning = case
+    f = gen_random_cnf(RandomCnfSpec(2, n, 1.0, seed)) if n >= 2 else CnfFormula(n, ())
+    space = Space(f)
+    sub = space.restrict(pinning)
+    expected = [a for a in range(1 << n) if f.satisfied_by(a) and _agrees(a, pinning)]
+    assert sub.bitmap == space.bitmap & pinning_bitmap(n, pinning)
+    assert Space(sub.formula).bitmap == sub.bitmap
+    assert sub.count == len(expected)
+    assert [sub.select(r) for r in range(sub.count)] == expected
+    assert space.count == sum(1 for a in range(1 << n) if f.satisfied_by(a))
+
+
+def test_restrict_select_order_across_blocks():
+    f = gen_random_cnf(RandomCnfSpec(3, 15, 1.5, "restrict"))
+    space = Space(f)
+    pinning = {2: True, 9: False, 13: True}
+    sub = space.restrict(pinning)
+    expected = [a for a in space.iter_solutions() if _agrees(a, pinning)]
+    assert sub.count == len(expected)
+    assert len({a >> 12 for a in expected}) > 1  # several select blocks
+    assert [sub.select(r) for r in range(sub.count)] == expected
+    assert Space(sub.formula).bitmap == sub.bitmap
 
 
 def test_sample_uniform_deterministic_and_valid():
