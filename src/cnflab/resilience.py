@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .core import Clause, CnfFormula, UnsatisfiableError, clause_status, SATISFIED
 from .learner import _split_tree
 from .solutions import Space, marginals
+from .structure import large_intersection_clauses
 
 
 @dataclass(frozen=True)
@@ -116,19 +117,6 @@ def check_local_uniformity(formula: CnfFormula, t, limit=None) -> LocalUniformit
         t=t,
         max_variable=best_var,
     )
-
-
-def large_intersection_clauses(formula: CnfFormula, cstar: Clause, t1):
-    """Indices of (non-tautological) clauses sharing at least t1 variables
-    with cstar, ascending."""
-    target = set(cstar.vars)
-    out = []
-    for i, c in enumerate(formula.clauses):
-        if c.tautology:
-            continue
-        if len(target.intersection(c.vars)) >= t1:
-            out.append(i)
-    return tuple(out)
 
 
 def intersection_bound_t1(k, p, s) -> float:

@@ -36,6 +36,7 @@ from .structure import (
     dependency_components,
     identify_bad,
     modified_bad_sets,
+    var_to_clauses,
 )
 
 
@@ -108,31 +109,24 @@ def classify_clauses(formula: CnfFormula, sigma, bad: BadSets, zeta,
 def alive_variables(formula: CnfFormula, sigma, bad: BadSets, zeta, k=None):
     """Good unpinned variables whose revelation cannot freeze anything: every
     good clause containing the variable is either satisfied by sigma or keeps
-    strictly more than zeta*k - 1 other unpinned good variables."""
-    k = _resolve_k(formula, k)
-    floor_needed = zeta * k - 1
-    incident = {}
-    for i, c in enumerate(formula.clauses):
-        if c.tautology or i in bad.c_bad:
-            continue
-        for v in c.vars:
-            incident.setdefault(v, []).append(i)
-    alive = set()
-    for v in range(formula.n):
-        if v in sigma or v in bad.v_bad:
-            continue
-        ok = True
-        for i in incident.get(v, ()):
-            c = formula.clauses[i]
-            if clause_status(c, sigma).kind == SATISFIED:
-                continue
-            others = [w for w in _unpinned_good(c, sigma, bad) if w != v]
-            if not len(others) > floor_needed:
-                ok = False
-                break
-        if ok:
-            alive.add(v)
-    return frozenset(alive)
+    strictly more than zeta*k - 1 other unpinned good variables.
+
+    Such a clause counts the variable itself among its unpinned good
+    variables, so it keeps len(good) - 1 others, and "more than zeta*k - 1
+    others" is "more than zeta*k unpinned good variables": the clause is not
+    frozen.  Alive is therefore the good unpinned variables lying in no
+    frozen clause of `classify_clauses`, which alone applies the threshold.
+    """
+    return _alive(formula, sigma, bad, classify_clauses(formula, sigma, bad, zeta, k=k))
+
+
+def _alive(formula, sigma, bad, cls):
+    """alive_variables read off a classification of the same sigma."""
+    in_frozen = {v for i in cls.frozen for v in formula.clauses[i].vars}
+    return frozenset(
+        v for v in range(formula.n)
+        if v not in sigma and v not in bad.v_bad and v not in in_frozen
+    )
 
 
 def associated_component(formula: CnfFormula, sigma, bad: BadSets, zeta,
@@ -142,16 +136,14 @@ def associated_component(formula: CnfFormula, sigma, bad: BadSets, zeta,
     neighborhood), both as sorted index tuples."""
     if c_index not in bad.c_bad:
         raise ValueError("clause %d is not in the bad set" % c_index)
-    k = _resolve_k(formula, k)
     cls = classify_clauses(formula, sigma, bad, zeta, k=k)
-    absorbable = set(cls.frozen) | set(cls.blocked) | set(bad.c_bad)
-    by_var = {}
-    for i, c in enumerate(formula.clauses):
-        if c.tautology:
-            continue
-        for v in c.vars:
-            if v not in sigma:
-                by_var.setdefault(v, []).append(i)
+    return _component(formula, sigma, bad, cls, c_index, var_to_clauses(formula))
+
+
+def _component(formula, sigma, bad, cls, c_index, by_var):
+    """associated_component read off a classification of the same sigma and
+    the formula's var_to_clauses index."""
+    absorbable = cls.frozen.union(cls.blocked, bad.c_bad)
     component = {c_index}
     stack = [c_index]
     while stack:
@@ -204,6 +196,10 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
     if not formula.satisfied_by(tau):
         raise ValueError("tau must be a satisfying assignment")
     for v, value in prefix.items():
+        if not 0 <= v < formula.n:
+            raise ValueError(
+                "prefix variable %d out of range [0, %d)" % (v, formula.n)
+            )
         if bool((tau >> v) & 1) != bool(value):
             raise ValueError("tau disagrees with the prefix at variable %d" % v)
     if target in prefix:
@@ -237,15 +233,14 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
     sigma = dict(prefix)
     trace = []
     zeta = params.zeta
+    by_var = var_to_clauses(formula)
     while True:
-        _, ext = associated_component(formula, sigma, bad, zeta, c0_index, k=k)
-        ext_vars = set()
-        for j in ext:
-            for v in formula.clauses[j].vars:
-                if v not in sigma:
-                    ext_vars.add(v)
-        alive = alive_variables(formula, sigma, bad, zeta, k=k)
-        candidates = alive & ext_vars
+        cls = classify_clauses(formula, sigma, bad, zeta, k=k)
+        component, ext = _component(formula, sigma, bad, cls, c0_index, by_var)
+        ext_vars = {
+            v for j in ext for v in formula.clauses[j].vars if v not in sigma
+        }
+        candidates = _alive(formula, sigma, bad, cls) & ext_vars
         if not candidates:
             break
         v = min(candidates)
@@ -263,7 +258,6 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
                         "revealing %d froze clause %d below the threshold" % (v, i)
                     )
     if check_invariants:
-        component, _ = associated_component(formula, sigma, bad, zeta, c0_index, k=k)
         comp_set = set(component)
         comp_vars = set()
         comp_unpinned = set()

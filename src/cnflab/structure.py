@@ -199,6 +199,16 @@ def replay_bad_trace(formula: CnfFormula, p_hd, eps_bd, alpha, trace, k=None) ->
     return BadSets(frozenset(v_bad), frozenset(c_bad), tuple(trace))
 
 
+def large_intersection_clauses(formula: CnfFormula, cstar: Clause, t1):
+    """Indices of (non-tautological) clauses sharing at least t1 variables
+    with cstar, ascending."""
+    target = set(cstar.vars)
+    return tuple(
+        i for i, c in _active_clauses(formula)
+        if len(target.intersection(c.vars)) >= t1
+    )
+
+
 @dataclass(frozen=True)
 class ModifiedBadSets:
     v_bad: frozenset
@@ -234,12 +244,10 @@ def modified_bad_sets(formula: CnfFormula, cstar, prefix, c0_index,
     if clause_status(c0, prefix).kind == SATISFIED:
         raise ValueError("c0 must be unsatisfied under the prefix")
     threshold = 2 * k ** 0.8
-    c_intersect = []
-    if cstar is not None:
-        cvars = set(cstar.vars)
-        for i, c in _active_clauses(formula):
-            if len(cvars.intersection(c.vars)) >= threshold:
-                c_intersect.append(i)
+    c_intersect = (
+        () if cstar is None
+        else large_intersection_clauses(formula, cstar, threshold)
+    )
     v_bad = set(base.v_bad)
     for i in c_intersect:
         v_bad.update(formula.clauses[i].vars)
@@ -253,7 +261,7 @@ def modified_bad_sets(formula: CnfFormula, cstar, prefix, c0_index,
         v_bad=frozenset(v_bad),
         c_bad=frozenset(c_bad),
         trace=base.trace,
-        c_intersect=tuple(c_intersect),
+        c_intersect=c_intersect,
         c0=c0_index,
         intersect_threshold=threshold,
         intersect_bound=bound,

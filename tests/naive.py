@@ -191,3 +191,90 @@ def shift_doubling_bitmap(n, clauses):
                 cylinder |= cylinder << (1 << w)
         viol |= cylinder
     return ((1 << (1 << n)) - 1) ^ viol
+
+
+# Revealing-process predicates.  sigma is a partial assignment {var: bool};
+# v_bad and c_bad are sets of variables and of clause indices.
+
+def _vars(clause):
+    return {var for var, _ in clause}
+
+
+def _satisfied_by_partial(clause, sigma):
+    return any(var in sigma and sigma[var] != negated for var, negated in clause)
+
+
+def _good_unpinned(clause, sigma, v_bad):
+    return {var for var in _vars(clause) if var not in sigma and var not in v_bad}
+
+
+def _good_unsatisfied(clauses, sigma, c_bad):
+    """Indices of clauses that are not tautologies, not bad and not
+    satisfied by sigma."""
+    return [
+        i for i, c in enumerate(clauses)
+        if _clause_key(c) is not None and i not in c_bad
+        and not _satisfied_by_partial(c, sigma)
+    ]
+
+
+def alive_variables(n, clauses, sigma, v_bad, c_bad, zeta, k):
+    """Good unpinned variables v such that every good unsatisfied clause
+    containing v keeps strictly more than zeta*k - 1 good unpinned variables
+    other than v."""
+    alive = set()
+    for v in range(n):
+        if v in sigma or v in v_bad:
+            continue
+        ok = True
+        for i in _good_unsatisfied(clauses, sigma, c_bad):
+            if v not in _vars(clauses[i]):
+                continue
+            others = _good_unpinned(clauses[i], sigma, v_bad) - {v}
+            if not len(others) > zeta * k - 1:
+                ok = False
+        if ok:
+            alive.add(v)
+    return alive
+
+
+def associated_component(n, clauses, sigma, v_bad, c_bad, zeta, k, c_index):
+    """(A, A plus its neighbourhood) as sorted tuples.
+
+    Frozen: good unsatisfied clauses with at most zeta*k good unpinned
+    variables.  Blocked: the other good unsatisfied clauses whose good
+    unpinned variables all lie in frozen clauses.  A is the smallest set
+    holding c_index and every non-tautological frozen, blocked or bad clause
+    that shares an unpinned variable with a member; the neighbourhood adds
+    every non-tautological clause sharing an unpinned variable with A.
+    """
+    good = _good_unsatisfied(clauses, sigma, c_bad)
+    frozen = {
+        i for i in good if len(_good_unpinned(clauses[i], sigma, v_bad)) <= zeta * k
+    }
+    covered = set()
+    for i in frozen:
+        covered |= _vars(clauses[i])
+    blocked = {
+        i for i in good
+        if i not in frozen and _good_unpinned(clauses[i], sigma, v_bad) <= covered
+    }
+    absorbable = frozen | blocked | set(c_bad)
+    proper = [i for i, c in enumerate(clauses) if _clause_key(c) is not None]
+
+    def touches(members, i):
+        unpinned = set()
+        for j in members:
+            unpinned |= _vars(clauses[j]) - set(sigma)
+        return bool(unpinned & _vars(clauses[i]))
+
+    component = {c_index}
+    grown = True
+    while grown:
+        grown = False
+        for i in proper:
+            if i in absorbable and i not in component and touches(component, i):
+                component.add(i)
+                grown = True
+    neighbourhood = component | {i for i in proper if touches(component, i)}
+    return tuple(sorted(component)), tuple(sorted(neighbourhood))

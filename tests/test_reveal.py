@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnflab import (
     Clause,
@@ -27,6 +28,7 @@ from cnflab import (
 from cnflab.reveal import RevealResult
 from cnflab.structure import BadSets, EMPTY_BAD_SETS
 
+import naive
 from util import F, pos, neg, from_bits
 
 
@@ -114,6 +116,42 @@ def test_associated_component_idempotent_across_bad_members():
     assert comp0 == comp1
 
 
+# zeta*k is an integer at (2/3, 3), (0.5, 2), (1.0, k) and (1.5, 2): there the
+# frozen test and the "more than zeta*k - 1 others" test meet the boundary
+ZETAS = [0.1, 0.4, 0.5, 2 / 3, 1.0, 1.5, Fraction(2, 3), 2 * 4 ** -0.2]
+
+
+@st.composite
+def reveal_states(draw):
+    """A formula at n <= 9 as naive literal lists (tautologies and repeated
+    literals included), a partial assignment, bad sets, zeta and k."""
+    n = draw(st.integers(1, 9))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    clauses = draw(st.lists(st.lists(literal, max_size=5), max_size=9))
+    pinned = draw(st.lists(st.integers(0, n - 1), unique=True))
+    sigma = {v: draw(st.booleans()) for v in pinned}
+    v_bad = draw(st.frozensets(st.integers(0, n - 1)))
+    c_bad = draw(st.frozensets(st.integers(0, len(clauses) - 1))) if clauses else frozenset()
+    zeta = draw(st.sampled_from(ZETAS))
+    k = draw(st.integers(1, 4))
+    return n, clauses, sigma, v_bad, c_bad, zeta, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(reveal_states())
+def test_alive_and_component_match_definition_oracles(state):
+    n, clauses, sigma, v_bad, c_bad, zeta, k = state
+    f = F(n, *clauses)
+    bad = BadSets(v_bad, c_bad, ())
+    assert alive_variables(f, sigma, bad, zeta, k=k) == naive.alive_variables(
+        n, clauses, sigma, v_bad, c_bad, zeta, k
+    )
+    for c in sorted(c_bad):
+        assert associated_component(f, sigma, bad, zeta, c, k=k) == (
+            naive.associated_component(n, clauses, sigma, v_bad, c_bad, zeta, k, c)
+        )
+
+
 GADGET = gen_gadget(GadgetSpec(3, 2))
 PARAMS = RevealParams(alpha=0.5, p_hd=100.0, eps_bd=0.5, zeta=0.4)
 
@@ -148,6 +186,13 @@ def test_reveal_validation():
         reveal(GADGET, 0, 1, {1: False}, PARAMS)  # target already pinned
     with pytest.raises(ValueError):
         reveal(GADGET, 0, 17, {}, PARAMS)
+
+
+@pytest.mark.parametrize("v", [6, 8, -1])
+def test_reveal_rejects_prefix_variable_out_of_range(v):
+    # GADGET has n = 6
+    with pytest.raises(ValueError, match="prefix variable %d out of range" % v):
+        reveal(GADGET, 0, 0, {v: False}, PARAMS)
 
 
 def test_reveal_gadget_run_is_exact():
