@@ -1,15 +1,21 @@
 """Command-line interface: exit codes, JSON envelopes, config validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from cnflab import (
+    Clause,
+    CnfFormula,
     GadgetSpec,
+    RandomCnfSpec,
     RevealParams,
     estimate_nice_probability,
     gen_disjoint_family,
     gen_gadget,
+    gen_linear_cnf,
+    gen_random_cnf,
     write_dimacs,
 )
 from cnflab.cli import ExperimentConfig, run, validate_config
@@ -303,6 +309,42 @@ def test_reveal_sim_report(tmp_path, capsys):
         }
         for tau, r, report in est.traces
     ]
+
+
+ARTIFACTS = Path(__file__).parent / "artifacts"
+
+
+def _reveal_sim_canary_cases():
+    """(name, formula, config) of the archived reveal-sim runs: a linear
+    3-CNF without prefix, and a random 3-CNF with a unit clause on its
+    target, once with a prefix and once with a target_value."""
+    linear = gen_linear_cnf(3, 2, 18, "canary-a")
+    random = gen_random_cnf(RandomCnfSpec(3, 14, 1.2, "canary-b"))
+    unit = CnfFormula(random.n, random.clauses + (Clause.from_literals([(4, False)]),))
+    common = {"trials": 60, "p_hd": 12.0, "eps_bd": 0.7}
+    return [
+        ("linear", linear, dict(common, target=0, seed="canary-a", zeta=0.4,
+                                alpha=11 / 18, traces=4)),
+        ("prefix", unit, dict(common, target=4, seed="canary-b", zeta=0.5,
+                              alpha=17 / 14, traces=3, prefix={"5": True})),
+        ("target-value", unit, dict(common, target=4, seed="canary-c", zeta=1.0,
+                                    alpha=17 / 14, traces=2, target_value=False)),
+    ]
+
+
+def test_reveal_sim_matches_archived_envelopes(tmp_path, capsys):
+    # the committed JSON is the byte-identity canary of seeded reveal-sim runs
+    envelopes = []
+    for name, formula, config in _reveal_sim_canary_cases():
+        path = formula_file(tmp_path, name + ".cnf", formula)
+        cfg_path = tmp_path / (name + ".json")
+        cfg_path.write_text(json.dumps(config))
+        envelope = invoke_json(capsys, "reveal-sim", path, str(cfg_path))
+        del envelope["wall_time_s"]
+        assert envelope["payload"]["traces"]
+        envelopes.append(envelope)
+    text = json.dumps(envelopes, indent=2, sort_keys=True) + "\n"
+    assert text == (ARTIFACTS / "reveal_sim.json").read_text()
 
 
 def test_reveal_sim_prefix_variable_out_of_range(tmp_path, capsys):
