@@ -14,8 +14,9 @@ Tautological clauses are always satisfied and are ignored throughout.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
@@ -26,18 +27,10 @@ from .core import (
     SATISFIED,
     UnsatisfiableError,
     clause_status,
-    simplify,
 )
 from .rand import SeededRng
 from .solutions import Space
-from .structure import (
-    BadSets,
-    EMPTY_BAD_SETS,
-    dependency_components,
-    identify_bad,
-    modified_bad_sets,
-    var_to_clauses,
-)
+from .structure import BadSets, identify_bad, modified_bad_sets, var_to_clauses
 
 
 @dataclass(frozen=True)
@@ -66,6 +59,108 @@ def _unpinned_good(clause, sigma, bad):
     return [v for v in clause.vars if v not in sigma and v not in bad.v_bad]
 
 
+class _RevealState:
+    """The clause bookkeeping of a revealing run under the pinning sigma.
+
+    Per clause: satisfied (tautologies always), its number of unpinned good
+    variables, and frozen: good, unsatisfied, with at most zeta*k unpinned
+    good variables (the one place the threshold is applied).  Per variable:
+    the number of frozen clauses containing it.  `pin` takes an alive
+    variable, which lies in no frozen clause, and updates only its clauses;
+    so a frozen clause is never pinned again and stays frozen.
+    """
+
+    def __init__(self, formula, sigma, bad, zeta, k):
+        self.formula = formula
+        self.bad = bad
+        self.limit = zeta * _resolve_k(formula, k)
+        self.by_var = var_to_clauses(formula)
+        self.sigma = dict(sigma)
+        m = len(formula.clauses)
+        self.satisfied = [False] * m
+        self.good = [0] * m
+        self.frozen = [False] * m
+        self.frozen_count = [0] * formula.n
+        for i, c in enumerate(formula.clauses):
+            if c.tautology or clause_status(c, sigma).kind == SATISFIED:
+                self.satisfied[i] = True
+            else:
+                self.good[i] = len(_unpinned_good(c, sigma, bad))
+                self._freeze_if_due(i)
+
+    def copy(self):
+        other = copy.copy(self)
+        other.sigma = dict(self.sigma)
+        other.satisfied = self.satisfied[:]
+        other.good = self.good[:]
+        other.frozen = self.frozen[:]
+        other.frozen_count = self.frozen_count[:]
+        return other
+
+    def _freeze_if_due(self, i):
+        if i not in self.bad.c_bad and self.good[i] <= self.limit:
+            self.frozen[i] = True
+            for v in self.formula.clauses[i].vars:
+                self.frozen_count[v] += 1
+
+    def pin(self, v, value):
+        self.sigma[v] = value
+        for i in self.by_var.get(v, ()):
+            if self.satisfied[i]:
+                continue
+            if bool(value) != self.formula.clauses[i].forbidden_value(v):
+                self.satisfied[i] = True
+            else:
+                self.good[i] -= 1
+                self._freeze_if_due(i)
+
+    def alive(self, v):
+        return (v not in self.sigma and v not in self.bad.v_bad
+                and not self.frozen_count[v])
+
+    def blocked(self, i):
+        """Good, unsatisfied, above the frozen threshold, and every unpinned
+        good variable lies in some frozen clause; tested on demand."""
+        return (
+            not self.satisfied[i] and not self.frozen[i] and i not in self.bad.c_bad
+            and all(self.frozen_count[v]
+                    for v in _unpinned_good(self.formula.clauses[i], self.sigma, self.bad))
+        )
+
+    def component(self, c_index):
+        """Closure of c_index under frozen, blocked and bad clauses sharing
+        an unpinned variable, and that closure plus its unpinned
+        neighborhood, as sets."""
+        clauses, sigma, c_bad = self.formula.clauses, self.sigma, self.bad.c_bad
+        component = {c_index}
+        stack = [c_index]
+        while stack:
+            j = stack.pop()
+            for v in clauses[j].vars:
+                if v in sigma:
+                    continue
+                for w in self.by_var.get(v, ()):
+                    if w not in component and (
+                        w in c_bad or self.frozen[w] or self.blocked(w)
+                    ):
+                        component.add(w)
+                        stack.append(w)
+        neighborhood = set(component)
+        for j in component:
+            for v in clauses[j].vars:
+                if v not in sigma:
+                    neighborhood.update(self.by_var.get(v, ()))
+        return component, neighborhood
+
+    def step(self, c0):
+        """c0's associated component and the smallest alive variable of its
+        extended component (None when there is none)."""
+        component, ext = self.component(c0)
+        clauses = self.formula.clauses
+        alive = [v for j in ext for v in clauses[j].vars if self.alive(v)]
+        return component, min(alive, default=None)
+
+
 def classify_clauses(formula: CnfFormula, sigma, bad: BadSets, zeta,
                      k=None) -> ClauseClassification:
     """Partition clause indices under the partial assignment sigma.
@@ -76,34 +171,13 @@ def classify_clauses(formula: CnfFormula, sigma, bad: BadSets, zeta,
     Everything else unsatisfied (bad clauses, ordinary active clauses) lands
     in `other`; tautologies count as satisfied.
     """
-    k = _resolve_k(formula, k)
-    limit = zeta * k
-    satisfied = set()
-    frozen = set()
-    candidates = {}
-    other = set()
-    for i, c in enumerate(formula.clauses):
-        if c.tautology or clause_status(c, sigma).kind == SATISFIED:
-            satisfied.add(i)
-            continue
-        if i in bad.c_bad:
-            other.add(i)
-            continue
-        good = _unpinned_good(c, sigma, bad)
-        if len(good) <= limit:
-            frozen.add(i)
-        else:
-            candidates[i] = good
-    cover = set()
-    for i in frozen:
-        cover.update(formula.clauses[i].vars)
-    blocked = {
-        i for i, good in candidates.items() if all(v in cover for v in good)
-    }
-    other.update(i for i in candidates if i not in blocked)
-    return ClauseClassification(
-        frozenset(frozen), frozenset(blocked), frozenset(satisfied), frozenset(other)
-    )
+    state = _RevealState(formula, sigma, bad, zeta, k)
+    everything = range(len(formula.clauses))
+    satisfied = frozenset(i for i in everything if state.satisfied[i])
+    frozen = frozenset(i for i in everything if state.frozen[i])
+    blocked = frozenset(i for i in everything if state.blocked(i))
+    other = frozenset(everything).difference(satisfied, frozen, blocked)
+    return ClauseClassification(frozen, blocked, satisfied, other)
 
 
 def alive_variables(formula: CnfFormula, sigma, bad: BadSets, zeta, k=None):
@@ -115,18 +189,10 @@ def alive_variables(formula: CnfFormula, sigma, bad: BadSets, zeta, k=None):
     variables, so it keeps len(good) - 1 others, and "more than zeta*k - 1
     others" is "more than zeta*k unpinned good variables": the clause is not
     frozen.  Alive is therefore the good unpinned variables lying in no
-    frozen clause of `classify_clauses`, which alone applies the threshold.
+    frozen clause, which the reveal state alone decides.
     """
-    return _alive(formula, sigma, bad, classify_clauses(formula, sigma, bad, zeta, k=k))
-
-
-def _alive(formula, sigma, bad, cls):
-    """alive_variables read off a classification of the same sigma."""
-    in_frozen = {v for i in cls.frozen for v in formula.clauses[i].vars}
-    return frozenset(
-        v for v in range(formula.n)
-        if v not in sigma and v not in bad.v_bad and v not in in_frozen
-    )
+    state = _RevealState(formula, sigma, bad, zeta, k)
+    return frozenset(v for v in range(formula.n) if state.alive(v))
 
 
 def associated_component(formula: CnfFormula, sigma, bad: BadSets, zeta,
@@ -136,31 +202,9 @@ def associated_component(formula: CnfFormula, sigma, bad: BadSets, zeta,
     neighborhood), both as sorted index tuples."""
     if c_index not in bad.c_bad:
         raise ValueError("clause %d is not in the bad set" % c_index)
-    cls = classify_clauses(formula, sigma, bad, zeta, k=k)
-    return _component(formula, sigma, bad, cls, c_index, var_to_clauses(formula))
-
-
-def _component(formula, sigma, bad, cls, c_index, by_var):
-    """associated_component read off a classification of the same sigma and
-    the formula's var_to_clauses index."""
-    absorbable = cls.frozen.union(cls.blocked, bad.c_bad)
-    component = {c_index}
-    stack = [c_index]
-    while stack:
-        j = stack.pop()
-        for v in formula.clauses[j].vars:
-            if v in sigma:
-                continue
-            for w in by_var.get(v, ()):
-                if w not in component and w in absorbable:
-                    component.add(w)
-                    stack.append(w)
-    neighborhood = set(component)
-    for j in component:
-        for v in formula.clauses[j].vars:
-            if v not in sigma:
-                neighborhood.update(by_var.get(v, ()))
-    return tuple(sorted(component)), tuple(sorted(neighborhood))
+    state = _RevealState(formula, sigma, bad, zeta, k)
+    component, ext = state.component(c_index)
+    return tuple(sorted(component)), tuple(sorted(ext))
 
 
 EARLY_SPARSE = "sparse-alpha"
@@ -174,6 +218,35 @@ class RevealResult:
     c0: int | None
     trace: tuple
     early_reason: str | None = None
+
+
+def _start(formula, target, prefix, params):
+    """What a revealing run fixes before it reads tau: (k, the early-return
+    reason or None, c0, the state at the prefix under the run's bad sets)."""
+    if target in prefix:
+        raise ValueError("the target variable is already pinned")
+    if not 0 <= target < formula.n:
+        raise ValueError("target variable out of range")
+    k = _resolve_k(formula, params.k)
+    if k == 0 or params.alpha < 1 / k**3:
+        return k, EARLY_SPARSE, None, None
+    c0 = next((
+        i for i, c in enumerate(formula.clauses)
+        if not c.tautology and target in c.vars
+        and clause_status(c, prefix).kind != SATISFIED
+    ), None)
+    if c0 is None:
+        return k, EARLY_NO_CLAUSE, None, None
+    base = identify_bad(formula, params.p_hd, params.eps_bd, params.alpha, k=k)
+    bad = modified_bad_sets(formula, params.cstar, prefix, c0, k=k, base=base)
+    return k, None, c0, _RevealState(formula, prefix, bad, params.zeta, k)
+
+
+def _early(prefix, reason):
+    return RevealResult(
+        S=tuple(sorted(prefix)), tau_S=dict(prefix), c0=None, trace=(),
+        early_reason=reason,
+    )
 
 
 def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
@@ -202,52 +275,19 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
             )
         if bool((tau >> v) & 1) != bool(value):
             raise ValueError("tau disagrees with the prefix at variable %d" % v)
-    if target in prefix:
-        raise ValueError("the target variable is already pinned")
-    if not 0 <= target < formula.n:
-        raise ValueError("target variable out of range")
-    k = _resolve_k(formula, params.k)
-
-    def _early(reason):
-        return RevealResult(
-            S=tuple(sorted(prefix)), tau_S=dict(prefix), c0=None,
-            trace=(), early_reason=reason,
-        )
-
-    if k == 0 or params.alpha < 1 / k**3:
-        return _early(EARLY_SPARSE)
-    c0_index = None
-    for i, c in enumerate(formula.clauses):
-        if c.tautology or target not in c.vars:
-            continue
-        if clause_status(c, prefix).kind != SATISFIED:
-            c0_index = i
-            break
-    if c0_index is None:
-        return _early(EARLY_NO_CLAUSE)
-
-    base = identify_bad(formula, params.p_hd, params.eps_bd, params.alpha, k=k)
-    bad = modified_bad_sets(
-        formula, params.cstar, prefix, c0_index, k=k, base=base
-    )
-    sigma = dict(prefix)
+    k, early, c0_index, state = _start(formula, target, prefix, params)
+    if early is not None:
+        return _early(prefix, early)
+    sigma, bad = state.sigma, state.bad
     trace = []
-    zeta = params.zeta
-    by_var = var_to_clauses(formula)
     while True:
-        cls = classify_clauses(formula, sigma, bad, zeta, k=k)
-        component, ext = _component(formula, sigma, bad, cls, c0_index, by_var)
-        ext_vars = {
-            v for j in ext for v in formula.clauses[j].vars if v not in sigma
-        }
-        candidates = _alive(formula, sigma, bad, cls) & ext_vars
-        if not candidates:
+        component, v = state.step(c0_index)
+        if v is None:
             break
-        v = min(candidates)
-        sigma[v] = bool((tau >> v) & 1)
+        state.pin(v, bool((tau >> v) & 1))
         trace.append(v)
         if check_invariants:
-            floor_needed = zeta * k - 1
+            floor_needed = params.zeta * k - 1
             for i, c in enumerate(formula.clauses):
                 if c.tautology or i in bad.c_bad or v not in c.vars:
                     continue
@@ -258,7 +298,6 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
                         "revealing %d froze clause %d below the threshold" % (v, i)
                     )
     if check_invariants:
-        comp_set = set(component)
         comp_vars = set()
         comp_unpinned = set()
         for j in component:
@@ -267,7 +306,7 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
                 v for v in formula.clauses[j].vars if v not in sigma
             )
         for i, c in enumerate(formula.clauses):
-            if c.tautology or i in comp_set:
+            if c.tautology or i in component:
                 continue
             if not comp_vars.intersection(c.vars):
                 continue
@@ -301,6 +340,8 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
     zeta*k - 1 remaining variables; if that exceptional clause is exactly
     {target} it must be satisfied by target_value (unknown value fails);
     and |C'| <= log2 n.  The diagnosis names the first failed condition.
+    `exceptional` is that clause's index among the clauses tau_S leaves
+    unsatisfied, i.e. in the simplified formula.
     """
     k = _resolve_k(formula, k)
     if target in result.S:
@@ -308,28 +349,46 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
     for v, value in prefix.items():
         if v not in result.tau_S or bool(result.tau_S[v]) != bool(value):
             return NiceReport(False, "prefix-mismatch", 0, None)
-    reduced = simplify(formula, result.tau_S)
-    holding = [
-        i for i, c in enumerate(reduced.clauses)
-        if not c.tautology and target in c.vars
-    ]
-    if not holding:
+    tau_S = result.tau_S
+    for v in tau_S:
+        if not 0 <= v < formula.n:
+            raise ValueError("pinned variable %d out of range" % v)
+    clauses = formula.clauses
+    by_var = var_to_clauses(formula)
+    holding = () if target in tau_S else by_var.get(target, ())
+    start = next(
+        (i for i in holding if clause_status(clauses[i], tau_S).kind != SATISFIED),
+        None,
+    )
+    if start is None:
         return NiceReport(True, "isolated", 0, None)
-    component = None
-    for comp in dependency_components(reduced):
-        if holding[0] in comp:
-            component = comp
-            break
-    small = [
-        i for i in component if reduced.clauses[i].size < zeta * k - 1
-    ]
+    component = {start}
+    examined = {start}
+    stack = [start]
+    while stack:
+        j = stack.pop()
+        for v in clauses[j].vars:
+            if v in tau_S:
+                continue
+            for w in by_var[v]:
+                if w not in examined:
+                    examined.add(w)
+                    if clause_status(clauses[w], tau_S).kind != SATISFIED:
+                        component.add(w)
+                        stack.append(w)
+    size = {i: sum(1 for v in clauses[i].vars if v not in tau_S) for i in component}
+    small = sorted(i for i in component if size[i] < zeta * k - 1)
     if len(small) > 1:
         return NiceReport(False, "small-clauses", len(component), None)
-    exceptional = small[0] if small else None
-    if exceptional is not None and reduced.clauses[exceptional].vars == (target,):
-        c = reduced.clauses[exceptional]
-        if target_value is None or bool(target_value) == c.forbidden_value(target):
-            return NiceReport(False, "exceptional", len(component), exceptional)
+    exceptional = None
+    if small:
+        c = clauses[small[0]]
+        exceptional = sum(
+            1 for d in clauses[:small[0]] if clause_status(d, tau_S).kind != SATISFIED
+        )
+        if size[small[0]] == 1 and target in c.vars:
+            if target_value is None or bool(target_value) == c.forbidden_value(target):
+                return NiceReport(False, "exceptional", len(component), exceptional)
     if not len(component) <= math.log2(formula.n):
         return NiceReport(False, "size", len(component), exceptional)
     return NiceReport(True, "component", len(component), exceptional)
@@ -412,6 +471,12 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     prefix-conditioned uniform distribution produces a nice result, with a
     Wilson 95% interval.
 
+    A run reads tau only at the variables it pins, so the runs form a
+    decision tree.  Its nodes are expanded once, when a trial first reaches
+    them, by replaying their path on a copy of the state at the prefix; a
+    leaf keeps its RevealResult and NiceReport for later trials.  The tree
+    is dropped on return.
+
     The first `traces` trials measured (all of them if there are fewer) are
     kept on the result as (tau, RevealResult, NiceReport) tuples.
     """
@@ -423,19 +488,46 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     space = space.restrict(prefix)
     if space.count == 0:
         raise InfeasiblePinningError("no solution agrees with the prefix")
+    _, early, c0, start = _start(formula, target, prefix, params)
+
+    def finish(result):
+        return result, is_nice(formula, result, target, prefix, params.zeta,
+                               k=params.k, target_value=target_value)
+
+    # the values read so far -> the variable read next, or at a leaf the
+    # run's (RevealResult, NiceReport)
+    tree = {} if early is None else {(): finish(_early(prefix, early))}
     rng = SeededRng(seed)
     successes = 0
     diagnosis_counts = {}
     kept = []
     for i in range(trials):
         tau = space.select(rng.randbelow(space.count))
-        result = reveal(formula, tau, target, prefix, params)
-        report = is_nice(
-            formula, result, target, prefix, params.zeta,
-            k=params.k, target_value=target_value,
-        )
+        path, read = [], ()
+        node = tree.get(read)
+        while isinstance(node, int):
+            path.append(node)
+            read += ((tau >> node) & 1,)
+            node = tree.get(read)
+        if node is None:
+            # a path no trial took before: replay it, then reveal on
+            state = start.copy()
+            for v in path:
+                state.pin(v, bool((tau >> v) & 1))
+            _, v = state.step(c0)
+            while v is not None:
+                tree[read] = v
+                state.pin(v, bool((tau >> v) & 1))
+                path.append(v)
+                read += ((tau >> v) & 1,)
+                _, v = state.step(c0)
+            node = tree[read] = finish(RevealResult(
+                S=tuple(sorted(state.sigma)), tau_S=state.sigma, c0=c0,
+                trace=tuple(path),
+            ))
+        result, report = node
         if i < traces:
-            kept.append((tau, result, report))
+            kept.append((tau, replace(result, tau_S=dict(result.tau_S)), report))
         if report.nice:
             successes += 1
         diagnosis_counts[report.diagnosis] = (

@@ -356,11 +356,12 @@ def correlation_dC(formula, u, v, limit=None) -> Fraction:
     if u == v:
         raise ValueError("need two distinct variables")
     space = _space_checked(formula, limit)
-    mu, mv = space.var_mask(u), space.var_mask(v)
     total = space.count
-    cu = (space.bitmap & mu).bit_count()
-    cv = (space.bitmap & mv).bit_count()
-    c11 = (space.bitmap & mu & mv).bit_count()
+    # one 2^n-bit cylinder and AND result at a time: holding both variable
+    # masks as well put this query above marginals' peak memory
+    cu = space.count_matching((u,), 1)
+    cv = space.count_matching((v,), 1)
+    c11 = space.count_matching((u, v), 0b11)
     result = Fraction(0)
     for xu in (False, True):
         for xv in (False, True):

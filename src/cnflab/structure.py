@@ -8,6 +8,7 @@ caller supplies (pass Fractions where exact boundaries matter).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -160,26 +161,30 @@ def identify_bad(formula: CnfFormula, p_hd, eps_bd, alpha, k=None) -> BadSets:
     outside the bad set has strictly more than eps_bd * k of its variables
     bad, absorb the smallest-index such clause (all its variables become
     bad).  k defaults to the largest clause size.
+
+    Overlaps only grow, so a clause crosses the trigger once and stays over
+    it: a heap of the crossed clauses not yet absorbed gives the smallest
+    index, and absorbing a clause updates only the clauses of its newly bad
+    variables.
     """
     v_bad, trigger = _cascade_start(formula, p_hd, eps_bd, alpha, k)
+    by_var = var_to_clauses(formula)
+    overlap = {i: _overlap(c, v_bad) for i, c in _active_clauses(formula)}
+    ready = [i for i in overlap if overlap[i] > trigger]  # ascending: a heap
     c_bad = set()
     trace = []
-    active = _active_clauses(formula)
-    while True:
-        hit = None
-        for i, c in active:
-            if i in c_bad:
-                continue
-            overlap = _overlap(c, v_bad)
-            if overlap > trigger:
-                hit = (i, c, overlap)
-                break
-        if hit is None:
-            break
-        i, c, overlap = hit
+    while ready:
+        i = heapq.heappop(ready)
         c_bad.add(i)
-        v_bad.update(c.vars)
-        trace.append((i, overlap))
+        trace.append((i, overlap[i]))
+        for v in formula.clauses[i].vars:
+            if v in v_bad:
+                continue
+            v_bad.add(v)
+            for j in by_var[v]:
+                overlap[j] += 1
+                if overlap[j] > trigger >= overlap[j] - 1:
+                    heapq.heappush(ready, j)
     return BadSets(frozenset(v_bad), frozenset(c_bad), tuple(trace))
 
 

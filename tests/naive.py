@@ -13,6 +13,7 @@ Representation:
     assignment = tuple of n bools, index = variable index
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -278,3 +279,126 @@ def associated_component(n, clauses, sigma, v_bad, c_bad, zeta, k, c_index):
                 grown = True
     neighbourhood = component | {i for i in proper if touches(component, i)}
     return tuple(sorted(component)), tuple(sorted(neighbourhood))
+
+
+def k_max(clauses):
+    """Largest number of distinct variables of a non-tautological clause."""
+    return max((len(_vars(c)) for c in clauses if _clause_key(c) is not None), default=0)
+
+
+def identify_bad(n, clauses, p_hd, eps_bd, alpha, k):
+    """(v_bad, c_bad, trace) of the bad-set cascade, rescanning every clause
+    after each absorption.
+
+    Bad variables start as those in more than p_hd * alpha non-tautological
+    clauses; then the smallest-index clause outside c_bad with more than
+    eps_bd * k bad variables is absorbed, and the trace records its index
+    and that count, until no clause qualifies.
+    """
+    proper = [i for i, c in enumerate(clauses) if _clause_key(c) is not None]
+    degree = [0] * n
+    for i in proper:
+        for v in _vars(clauses[i]):
+            degree[v] += 1
+    v_bad = {v for v in range(n) if degree[v] > p_hd * alpha}
+    c_bad = set()
+    trace = []
+    while True:
+        hit = None
+        for i in proper:
+            overlap = len(_vars(clauses[i]) & v_bad)
+            if i not in c_bad and overlap > eps_bd * k:
+                hit = (i, overlap)
+                break
+        if hit is None:
+            return v_bad, c_bad, trace
+        c_bad.add(hit[0])
+        v_bad |= _vars(clauses[hit[0]])
+        trace.append(hit)
+
+
+def reveal(n, clauses, tau, target, prefix, alpha, p_hd, eps_bd, zeta, k=None,
+           cstar=None):
+    """(S, tau_S, c0, trace, early_reason) of the revealing process on the
+    solution tau (a tuple of bools), reclassifying every clause on every step.
+
+    cstar is the candidate clause's variable set or None; k defaults to
+    k_max.  Early returns give the prefix alone.  Otherwise c0 is the first
+    non-tautological clause holding the target and not satisfied by the
+    prefix; the bad sets gain the clauses meeting cstar in >= 2 k^(4/5)
+    variables, the prefix and c0; and each step pins tau at the smallest
+    alive variable of c0's extended component.
+    """
+    if k is None:
+        k = k_max(clauses)
+    if k == 0 or alpha < 1 / k**3:
+        return sorted(prefix), dict(prefix), None, [], "sparse-alpha"
+    c0 = next((
+        i for i, c in enumerate(clauses)
+        if _clause_key(c) is not None and target in _vars(c)
+        and not _satisfied_by_partial(c, prefix)
+    ), None)
+    if c0 is None:
+        return sorted(prefix), dict(prefix), None, [], "no-unsatisfied-clause"
+    v_bad, c_bad, _ = identify_bad(n, clauses, p_hd, eps_bd, alpha, k)
+    if cstar is not None:
+        for i, c in enumerate(clauses):
+            if _clause_key(c) is not None and len(_vars(c) & set(cstar)) >= 2 * k**0.8:
+                c_bad.add(i)
+                v_bad |= _vars(c)
+    v_bad |= set(prefix) | _vars(clauses[c0])
+    c_bad.add(c0)
+    sigma = dict(prefix)
+    trace = []
+    while True:
+        _, ext = associated_component(n, clauses, sigma, v_bad, c_bad, zeta, k, c0)
+        ext_vars = {v for i in ext for v in _vars(clauses[i]) if v not in sigma}
+        candidates = alive_variables(n, clauses, sigma, v_bad, c_bad, zeta, k) & ext_vars
+        if not candidates:
+            return sorted(sigma), sigma, c0, trace, None
+        v = min(candidates)
+        sigma[v] = tau[v]
+        trace.append(v)
+
+
+def is_nice(n, clauses, S, tau_S, target, prefix, zeta, k, target_value=None):
+    """(nice, diagnosis, component size, exceptional) of a revealing result.
+
+    The formula is simplified by tau_S (satisfied clauses and tautologies
+    dropped, pinned variables deleted) and the target's dependency
+    component is taken in it: the closure of the first simplified clause
+    holding the target under sharing a variable.  exceptional indexes the
+    simplified clause list.
+    """
+    if target in S:
+        return False, "target-pinned", 0, None
+    for v, value in prefix.items():
+        if v not in tau_S or tau_S[v] != value:
+            return False, "prefix-mismatch", 0, None
+    reduced = [
+        {var: negated for var, negated in c if var not in tau_S}
+        for c in clauses
+        if _clause_key(c) is not None and not _satisfied_by_partial(c, tau_S)
+    ]
+    holding = [i for i, r in enumerate(reduced) if target in r]
+    if not holding:
+        return True, "isolated", 0, None
+    component = {holding[0]}
+    grown = True
+    while grown:
+        grown = False
+        for i, r in enumerate(reduced):
+            if i not in component and any(set(r) & set(reduced[j]) for j in component):
+                component.add(i)
+                grown = True
+    small = sorted(i for i in component if len(reduced[i]) < zeta * k - 1)
+    if len(small) > 1:
+        return False, "small-clauses", len(component), None
+    exceptional = small[0] if small else None
+    if exceptional is not None and set(reduced[exceptional]) == {target}:
+        # the negation flag of the target's literal is its forbidden value
+        if target_value is None or target_value == reduced[exceptional][target]:
+            return False, "exceptional", len(component), exceptional
+    if not len(component) <= math.log2(n):
+        return False, "size", len(component), exceptional
+    return True, "component", len(component), exceptional

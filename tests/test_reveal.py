@@ -10,6 +10,7 @@ from cnflab import (
     CnfFormula,
     GadgetSpec,
     InfeasiblePinningError,
+    RandomCnfSpec,
     RevealParams,
     SeededRng,
     UnsatisfiableError,
@@ -20,6 +21,8 @@ from cnflab import (
     estimate_nice_probability,
     gen_disjoint_family,
     gen_gadget,
+    gen_linear_cnf,
+    gen_random_cnf,
     is_nice,
     iterative_elimination,
     reveal,
@@ -29,7 +32,7 @@ from cnflab.reveal import RevealResult
 from cnflab.structure import BadSets, EMPTY_BAD_SETS
 
 import naive
-from util import F, pos, neg, from_bits
+from util import F, bits, pos, neg, from_bits, to_naive
 
 
 # (v0 | v1), (v0 | v2), (v2 | v3), plus an untouched variable 4
@@ -156,6 +159,128 @@ GADGET = gen_gadget(GadgetSpec(3, 2))
 PARAMS = RevealParams(alpha=0.5, p_hd=100.0, eps_bd=0.5, zeta=0.4)
 
 
+@st.composite
+def revealing_runs(draw):
+    """A formula at n <= 9 that the drawn solution tau (a bool tuple)
+    satisfies, with tautologies and repeated literals; a target, a prefix
+    agreeing with tau, and RevealParams (sparse alphas, explicit k and a
+    candidate clause included).  Early elements of each sampled list are
+    drawn most, so they are the ones under which runs take several steps."""
+    n = draw(st.sampled_from(range(9, 0, -1)))
+    tau = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    clauses = []
+    for c in draw(st.lists(st.lists(literal, min_size=2, max_size=5), min_size=3,
+                           max_size=12)):
+        if not naive.clause_satisfied(c, tau):
+            v = draw(st.integers(0, n - 1))
+            c = c + [(v, not tau[v])]
+        clauses.append(c)
+    used = sorted({v for c in clauses for v, _ in c})
+    target = draw(st.sampled_from(used) | st.integers(0, n - 1))
+    pinned = draw(st.lists(st.integers(0, n - 1).filter(lambda v: v != target),
+                           unique=True, max_size=3))
+    prefix = {v: tau[v] for v in pinned}
+    cstar = draw(st.none() | st.lists(literal, min_size=1, max_size=6))
+    k = draw(st.sampled_from([2, None, 3, 1, 4]))
+    params = RevealParams(
+        alpha=draw(st.sampled_from([1.0, 2.0, 3.0, 0.01])),
+        p_hd=draw(st.sampled_from([100.0, 2.0, 0.5])),
+        eps_bd=draw(st.sampled_from([0.5, 1.0, 0.2])),
+        zeta=draw(st.sampled_from(ZETAS)),
+        k=k,
+        cstar=None if cstar is None else Clause.from_literals(cstar),
+    )
+    return n, clauses, tau, target, prefix, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(revealing_runs())
+def test_reveal_matches_per_step_oracle(run):
+    n, clauses, tau, target, prefix, params = run
+    f = F(n, *clauses)
+    cstar = None if params.cstar is None else params.cstar.vars
+    S, tau_S, c0, trace, early = naive.reveal(
+        n, clauses, tau, target, prefix, params.alpha, params.p_hd,
+        params.eps_bd, params.zeta, k=params.k, cstar=cstar,
+    )
+    for check in (False, True):
+        r = reveal(f, from_bits(tau), target, prefix, params, check_invariants=check)
+        assert (list(r.S), r.c0, list(r.trace), r.early_reason) == (S, c0, trace, early)
+        # prefix first, then the revealed variables in order
+        assert list(r.tau_S.items()) == list(tau_S.items())
+
+
+@pytest.mark.parametrize("f", [
+    gen_linear_cnf(3, 2, 12, "oracle-linear"),
+    gen_random_cnf(RandomCnfSpec(3, 10, 1.5, "oracle-random")),
+], ids=["linear", "random"])
+def test_reveal_matches_per_step_oracle_on_generated_formulas(f):
+    # runs of several steps, which the small drawn formulas rarely reach
+    n, clauses = to_naive(f)
+    degrees = f.variable_degrees()
+    target = max(range(n), key=lambda v: (degrees[v], -v))
+    steps = 0
+    for zeta in (0.4, 2 / 3):
+        params = RevealParams(alpha=1.0, p_hd=100.0, eps_bd=0.5, zeta=zeta)
+        for tau in enumerate_solutions(f).solutions[::7]:
+            r = reveal(f, tau, target, {}, params, check_invariants=True)
+            S, tau_S, c0, trace, early = naive.reveal(
+                n, clauses, bits(tau, n), target, {}, 1.0, 100.0, 0.5, zeta)
+            assert (list(r.S), r.tau_S, r.c0, list(r.trace), r.early_reason) == (
+                S, tau_S, c0, trace, early)
+            steps += len(r.trace)
+    assert steps > 100
+
+
+def _check_estimate_against_trials(f, target, prefix, params, target_value):
+    """The estimate with every trial traced equals reveal + is_nice on the
+    solutions redrawn from the seed."""
+    trials = 12
+    est = estimate_nice_probability(
+        f, target, prefix, trials, "oracle", params,
+        target_value=target_value, traces=trials,
+    )
+    agreeing = [
+        tau for tau in enumerate_solutions(f).solutions
+        if all(bool((tau >> v) & 1) == x for v, x in prefix.items())
+    ]
+    rng = SeededRng("oracle")
+    counts = {}
+    assert len(est.traces) == trials
+    for tau, result, report in est.traces:
+        assert tau == agreeing[rng.randbelow(len(agreeing))]
+        expect = reveal(f, tau, target, prefix, params)
+        assert result == expect
+        assert list(result.tau_S.items()) == list(expect.tau_S.items())
+        assert report == is_nice(f, expect, target, prefix, params.zeta,
+                                 k=params.k, target_value=target_value)
+        counts[report.diagnosis] = counts.get(report.diagnosis, 0) + 1
+    assert est.diagnosis_counts == counts
+    assert est.successes == sum(report.nice for _, _, report in est.traces)
+    # each trial owns its tau_S, though trials may share a leaf
+    assert len({id(result.tau_S) for _, result, _ in est.traces}) == trials
+    return est
+
+
+@settings(max_examples=150, deadline=None)
+@given(revealing_runs(), st.sampled_from([None, False, True]))
+def test_estimate_matches_per_trial_reveal(run, target_value):
+    n, clauses, _, target, prefix, params = run
+    _check_estimate_against_trials(F(n, *clauses), target, prefix, params, target_value)
+
+
+@pytest.mark.parametrize("reason, alpha, f, prefix", [
+    ("sparse-alpha", 1 / 12, F(12, pos(0, 1)), {}),
+    ("no-unsatisfied-clause", 1.0, F(12, pos(1, 2)), {}),
+    ("no-unsatisfied-clause", 1.0, F(6, pos(0, 1), pos(0, 2, 3)), {1: True, 2: True}),
+])
+def test_estimate_early_returns_match_per_trial_reveal(reason, alpha, f, prefix):
+    params = RevealParams(alpha=alpha, p_hd=100.0, eps_bd=0.5, zeta=1.0)
+    est = _check_estimate_against_trials(f, 0, prefix, params, None)
+    assert {r.early_reason for _, r, _ in est.traces} == {reason}
+
+
 def test_reveal_early_sparse_alpha():
     sparse = RevealParams(alpha=0.01, p_hd=100.0, eps_bd=0.5, zeta=0.4)
     r = reveal(GADGET, 0, 0, {1: False}, sparse)
@@ -278,6 +403,55 @@ def test_is_nice_exceptional_depends_on_target_value():
     assert satisfied.nice and satisfied.diagnosis == "component"
     falsified = is_nice(f, r, 0, {}, zeta=0.8, k=4, target_value=False)
     assert not falsified.nice and falsified.diagnosis == "exceptional"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_is_nice_matches_simplify_oracle(data):
+    n = data.draw(st.sampled_from(range(9, 0, -1)))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    clauses = data.draw(st.lists(st.lists(literal, max_size=5), min_size=1, max_size=10))
+    target = data.draw(st.integers(0, n - 1))
+    # one draw in ten pins the target, one in ten leaves it out of S though
+    # tau_S pins it, one in ten breaks the prefix
+    roll = data.draw(st.integers(0, 9))
+    pinned = data.draw(st.lists(
+        st.integers(0, n - 1).filter(lambda v: roll in (0, 2) or v != target),
+        unique=True, max_size=4))
+    tau_S = {v: data.draw(st.booleans()) for v in pinned}
+    S = tuple(v for v in sorted(tau_S) if roll != 2 or v != target)
+    prefix = {v: tau_S[v] for v in pinned[:data.draw(st.integers(0, len(pinned)))]}
+    if roll == 1:
+        v = data.draw(st.integers(0, n - 1))
+        prefix[v] = not tau_S.get(v, False)
+    # the large zetas first: they make the small clauses
+    zeta = data.draw(st.sampled_from(ZETAS[::-1]))
+    k = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
+    target_value = data.draw(st.sampled_from([None, False, True]))
+    r = RevealResult(S=S, tau_S=tau_S, c0=None, trace=())
+    rep = is_nice(F(n, *clauses), r, target, prefix, zeta, k=k, target_value=target_value)
+    expect = naive.is_nice(
+        n, clauses, S, tau_S, target, prefix, zeta,
+        naive.k_max(clauses) if k is None else k, target_value,
+    )
+    assert (rep.nice, rep.diagnosis, rep.component_size, rep.exceptional) == expect
+
+
+def test_is_nice_reports_exceptional_among_unsatisfied_clauses():
+    # clauses 0 and 2 are satisfied by tau_S, so clause 3 ({v0} alone once
+    # v4 is pinned false) is index 1 of the simplified formula
+    f = F(6, pos(1), pos(0, 2, 3), neg(5), pos(0, 4))
+    r = RevealResult(S=(1, 4, 5), tau_S={1: True, 4: False, 5: False}, c0=None, trace=())
+    rep = is_nice(f, r, 0, {}, zeta=1.0, k=3)
+    assert (rep.diagnosis, rep.component_size, rep.exceptional) == ("exceptional", 2, 1)
+
+
+@pytest.mark.parametrize("v", [6, 8, -1])
+def test_is_nice_rejects_pinned_variable_out_of_range(v):
+    # GADGET has n = 6
+    r = RevealResult(S=(v,), tau_S={v: False}, c0=None, trace=())
+    with pytest.raises(ValueError, match="pinned variable %d out of range" % v):
+        is_nice(GADGET, r, 0, {}, PARAMS.zeta)
 
 
 def test_is_nice_component_pass():

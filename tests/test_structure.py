@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnflab import (
     Clause,
@@ -27,6 +28,7 @@ from cnflab import (
 )
 from cnflab.structure import EMPTY_BAD_SETS, asymptotic_parameters
 
+import naive
 from util import F, pos, neg
 
 
@@ -105,6 +107,25 @@ def test_replay_bad_trace_round_trip():
     bad = identify_bad(STAR, p_hd=2, eps_bd=0.2, alpha=1.0)
     replayed = replay_bad_trace(STAR, 2, 0.2, 1.0, bad.trace)
     assert replayed == bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_identify_bad_matches_rescan_oracle(data):
+    # n <= 9 with repeated literals and tautologies; thresholds from 0 up, so
+    # that cascades of several absorptions and ties between clauses occur
+    n = data.draw(st.integers(1, 9))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    clauses = data.draw(st.lists(st.lists(literal, max_size=5), max_size=12))
+    p_hd = data.draw(st.sampled_from([0, 0.5, 1, 2, Fraction(3, 2)]))
+    eps_bd = data.draw(st.sampled_from([0, 0.2, 0.25, 0.5, Fraction(1, 3)]))
+    k = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
+    f = F(n, *clauses)
+    bad = identify_bad(f, p_hd, eps_bd, 1.0, k=k)
+    expect_k = naive.k_max(clauses) if k is None else k
+    v_bad, c_bad, trace = naive.identify_bad(n, clauses, p_hd, eps_bd, 1.0, expect_k)
+    assert (bad.v_bad, bad.c_bad, bad.trace) == (v_bad, c_bad, tuple(trace))
+    assert replay_bad_trace(f, p_hd, eps_bd, 1.0, bad.trace, k=k) == bad
 
 
 def test_replay_bad_trace_rejects_tampering():
