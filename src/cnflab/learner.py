@@ -4,21 +4,31 @@ The learner starts from every size-k clause over distinct variables and
 removes each clause some sample violates; what survives is the output
 formula.
 
-Every per-subset scan runs on one bit-sliced kernel, _split_tree.  Items
-(samples, or the assignments of a solution bitmap) are transposed into n
-column ints, and the k-subsets are walked in colex order as a depth-first
-tree in which each node splits its parent's item sets by one more column.
-The walk costs about C(n,k) * 2^k ANDs of T-bit ints, each shared prefix
-split once, with no Python step per (subset, sample) pair.  Over samples in
-draw order, a leaf's lowest set bit is its pattern's first-hit time: the
-clause forbidding the pattern survives T samples iff the leaf has no bit
-below T, and a sweep trial completes at the largest first-hit time over the
-patterns the truth supports.
+Items (samples, or the assignments of a solution bitmap) are transposed
+into n column ints, and three bit-parallel scans read every k-subset's
+patterns off them in colex order, with no Python step per item:
+
+- _split_tree, the learner's: a depth-first tree in which each node splits
+  its parent's item sets by one more column, each shared prefix split
+  once, about C(n,k) * 2^k ANDs of T-bit ints; a leaf holds the samples
+  showing one pattern on one subset.
+- _pattern_counts, the exact counts over a solution bitmap (resilience,
+  counts_by_pattern, the sweep's truth support): one AND and one popcount
+  per set of at most k variables gives its all-True count, and a superset
+  Moebius transform on small ints turns a subset's 2^k of them into its
+  pattern counts.
+- _first_hit_scan, the sweep's completion check: every k-subset is one
+  guard-bit field of one int per subset position, so each of the 2^k
+  patterns costs a few whole-int operations for all subsets at once.  Over
+  samples in draw order, a leaf's lowest set bit is its pattern's
+  first-hit time, and a sweep trial completes at the largest first-hit time
+  over the patterns the truth supports.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -89,6 +99,59 @@ def _split_walk(columns, i, top, suffix, parts):
             yield from _split_walk(columns, i - 1, v, (v,) + suffix, split)
         else:
             yield (v,) + suffix, split
+
+
+def _pattern_counts(n, k, columns, full):
+    """(subset, counts) for every k-subset of range(n), in colex order.
+
+    columns[v] holds the items whose variable v is True; full holds every
+    item.  counts[b] is the number of items whose values on subset form
+    pattern b (bit i of b is the value of subset[i], the Clause.forbidden
+    convention).  The all-True count N(S) of every set S of at most k
+    variables comes first, then each subset's counts are the superset
+    Moebius transform of its 2^k values N(S), S within the subset:
+    counts[b] = sum over c containing b of (-1)^|c - b| N(c).
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    all_true = {0: full.bit_count()}  # variable-set mask -> N
+    _all_true_walk(columns, k, 0, 0, full, all_true)
+    return (
+        (subset, _superset_moebius(all_true, subset))
+        for subset in iter_ksubsets_colex(n, k)
+    )
+
+
+def _all_true_walk(columns, depth, start, key, node, out):
+    """For every set S of 1 to `depth` variables from start on, record
+    out[key | S] = popcount(node & the columns of S), sets as bit masks.
+
+    One AND and one popcount per set, each extending its prefix's node, so
+    at most `depth` bitmaps are alive; a branch left with no item ends, and
+    the sets below it, missing from out, count 0.  A module-level function,
+    not a closure: a recursive closure is a reference cycle that would hold
+    the columns until the cyclic garbage collector runs.
+    """
+    for v in range(start, len(columns)):
+        child = node & columns[v]
+        out[key | 1 << v] = child.bit_count()
+        if depth > 1 and child:
+            _all_true_walk(columns, depth - 1, v + 1, key | 1 << v, child, out)
+
+
+def _superset_moebius(all_true, subset):
+    """The pattern counts on subset from the all-True counts of its subsets."""
+    masks = [0]
+    for v in subset:
+        masks += [m | 1 << v for m in masks]
+    counts = [all_true.get(m, 0) for m in masks]
+    step = 1
+    while step < len(counts):
+        for b in range(len(counts)):
+            if not b & step:
+                counts[b] -= counts[b | step]
+        step <<= 1
+    return counts
 
 
 def _columns(samples, n):
@@ -262,15 +325,15 @@ class SweepResult:
 _FIRST_CHUNK = 64
 
 
-def _completion_time(space, k, unsupported, t_max, seed):
+def _completion_time(space, k, supported, t_max, seed):
     """First sample count at which every truth-supported (subset, pattern)
     has been hit, or None within t_max.
 
-    unsupported counts, per k-subset in colex order, the patterns of zero
-    truth probability.  Draws the exact sequence sample_uniform would
-    produce, in chunks that double in size, and reads the first-hit times
-    off the split tree of all draws so far after each chunk.  Draws past
-    completion change no first hit, so the result is exact.
+    supported counts the (k-subset, pattern) pairs of nonzero truth
+    probability.  Draws the exact sequence sample_uniform would produce, in
+    chunks that double in size, and reads the first-hit times off all draws
+    so far after each chunk.  Draws past completion change no first hit, so
+    the result is exact.
     """
     rng = SeededRng(seed)
     samples = []
@@ -280,25 +343,67 @@ def _completion_time(space, k, unsupported, t_max, seed):
             space.select(rng.randbelow(space.count))
             for _ in range(want - len(samples))
         ]
-        tree = _split_tree(space.n, k, _columns(samples, space.n),
-                           (1 << len(samples)) - 1)
-        done = _last_first_hit(tree, unsupported)
+        done = _first_hit_scan(space.n, k, samples, supported)
         if done is not None or len(samples) >= t_max:
             return done
 
 
-def _last_first_hit(tree, unsupported):
-    """Largest 1-based first-hit time over the leaves of a split tree over
-    samples, or None while a supported pattern has no hit.  Samples only
-    ever hit supported patterns, so one is unhit iff its subset has more
-    empty leaves than unsupported patterns."""
-    hits = 0  # the lowest set bit of every leaf seen so far
-    for (_, leaves), empty in zip(tree, unsupported):
-        if leaves.count(0) > empty:
-            return None
-        for leaf in leaves:
-            hits |= leaf & -leaf
-    return hits.bit_length()
+@functools.cache
+def _colex_positions(n, k):
+    """The packed scan's field layout: for each subset position i, the
+    variable at position i of every k-subset in colex order; and the number
+    of k-subsets.  Cached for the process: a sweep checks the same (n, k)
+    after every chunk of every trial."""
+    subsets = list(iter_ksubsets_colex(n, k))
+    return tuple(tuple(s[i] for s in subsets) for i in range(k)), len(subsets)
+
+
+def _first_hit_scan(n, k, samples, supported):
+    """Largest 1-based first-hit time over the (k-subset, pattern) pairs the
+    samples hit, or None while fewer than `supported` pairs are hit.
+
+    Samples only ever hit supported pairs, so all of them are hit iff the
+    hit pairs number `supported`.  Each k-subset is one W-bit field, W =
+    8 * ceil((T+1)/8) for T samples, and plane i holds in field j the
+    column of the i-th variable of the j-th subset in colex order; bit T of
+    a field is its guard bit.  Splitting every field's samples by the
+    planes in turn gives 2^k leaves, one per pattern.  With ones the lowest
+    bit of every field and guard the guard bits, y = (leaf | guard) - ones
+    borrows no bit across fields: y & guard keeps the guard of every
+    nonempty field, and leaf & ~y is the lowest set bit of every field,
+    its pattern's first hit.
+    """
+    T = len(samples)
+    width = T // 8 + 1  # bytes per field
+    positions, fields = _colex_positions(n, k)
+    raw = [column.to_bytes(width, "little") for column in _columns(samples, n)]
+    planes = [
+        int.from_bytes(b"".join([raw[v] for v in position]), "little")
+        for position in positions
+    ]
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * fields, "little")
+    guard = ones << T
+    hit, first = _leaf_walk(planes, 0, guard - ones, guard, ones)
+    if hit < supported:
+        return None
+    # OR the upper half of the fields onto the lower half until one is left
+    while fields > 1:
+        fields = (fields + 1) // 2
+        low = fields * width * 8
+        first = (first >> low) | (first & ((1 << low) - 1))
+    return first.bit_length()
+
+
+def _leaf_walk(planes, i, node, guard, ones):
+    """(nonempty fields, first-hit bits) summed and OR-ed over the leaves
+    below node, which the planes from i on split depth first."""
+    if i == len(planes):
+        y = (node | guard) - ones
+        return (y & guard).bit_count(), node & ~y
+    one = node & planes[i]
+    hit0, first0 = _leaf_walk(planes, i + 1, node ^ one, guard, ones)
+    hit1, first1 = _leaf_walk(planes, i + 1, one, guard, ones)
+    return hit0 + hit1, first0 | first1
 
 
 def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
@@ -333,12 +438,15 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
         if space.count == 0:
             raise UnsatisfiableError("sweep instance %r is unsatisfiable" % (family,))
         columns = [space.var_mask(v) for v in range(formula.n)]
-        unsupported = [
-            leaves.count(0)
-            for _, leaves in _split_tree(formula.n, k, columns, space.bitmap)
-        ]
+        supported = sum(
+            1
+            for _, counts in _pattern_counts(formula.n, k, columns, space.bitmap)
+            for count in counts
+            if count
+        )
+        del columns
         times = [
-            _completion_time(space, k, unsupported, grid[-1],
+            _completion_time(space, k, supported, grid[-1],
                              derived_seed(seed_base, t))
             for t in range(trials)
         ]

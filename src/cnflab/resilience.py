@@ -3,8 +3,9 @@
 Resilience of a formula at width k: every size-k clause outside the formula
 has forbidden-pattern probability either exactly 0 or at least theta, and
 theta is the smallest nonzero value.  Computed here exactly over all
-2^k * C(n,k) candidates, as popcounts of the learner's split-tree leaves
-over the solution bitmap.
+2^k * C(n,k) candidates from the learner's pattern counts over the solution
+bitmap: one popcount per set of at most k variables, turned into
+per-pattern counts on small ints.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import Clause, CnfFormula, UnsatisfiableError, clause_status, SATISFIED
-from .learner import _split_tree
+from .learner import _pattern_counts
 from .solutions import Space, marginals
 from .structure import large_intersection_clauses
 
@@ -50,12 +51,11 @@ def resilience_theta(formula: CnfFormula, k, limit=None) -> ResilienceReport:
     zero = 0
     candidates = 0
     columns = [space.var_mask(v) for v in range(formula.n)]
-    for subset, leaves in _split_tree(formula.n, k, columns, space.bitmap):
-        for pattern, leaf in enumerate(leaves):
+    for subset, counts in _pattern_counts(formula.n, k, columns, space.bitmap):
+        for pattern, cnt in enumerate(counts):
             if (subset, pattern) in own:
                 continue
             candidates += 1
-            cnt = leaf.bit_count()
             if cnt == 0:
                 zero += 1
             elif best is None or cnt < best:

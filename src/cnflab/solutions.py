@@ -186,12 +186,12 @@ class Space:
         Index bit i of the returned list's position corresponds to vs[i],
         matching the Clause.forbidden convention.
         """
-        from .learner import _split_tree
+        from .learner import _pattern_counts
 
         # the one k-subset of k variables is vs itself
         columns = [self.var_mask(v) for v in vs]
-        ((_, leaves),) = _split_tree(len(vs), len(vs), columns, self.bitmap)
-        return [leaf.bit_count() for leaf in leaves]
+        ((_, counts),) = _pattern_counts(len(vs), len(vs), columns, self.bitmap)
+        return counts
 
     @functools.cached_property
     def _select_index(self):
@@ -306,12 +306,29 @@ def _space_checked(formula, limit):
 
 
 def marginals(formula, limit=None):
-    """Pr[X(v) = True] for every variable, as exact fractions."""
+    """Pr[X(v) = True] for every variable, as exact fractions.
+
+    Counted over the bitmap's 2^L-bit rows, L = min(n, 16), as it is
+    built: a variable v < L through its 2^L-bit mask in every row, a
+    variable v >= L as the solutions of the rows whose pattern sets it.
+    No 2^n-bit mask is allocated.
+    """
     space = _space_checked(formula, limit)
-    return [
-        Fraction((space.bitmap & space.var_mask(v)).bit_count(), space.count)
-        for v in range(formula.n)
-    ]
+    n = formula.n
+    low = min(n, _LOW_BITS)
+    row_bytes = ((1 << low) + 7) // 8
+    raw = space.bitmap.to_bytes(row_bytes << (n - low), "little")
+    masks = [_cylinder(low, (v,), 1) for v in range(low)]
+    ones = [0] * n
+    for h in range(1 << (n - low)):
+        row = int.from_bytes(raw[h * row_bytes : (h + 1) * row_bytes], "little")
+        for v, mask in enumerate(masks):
+            ones[v] += (row & mask).bit_count()
+        count = row.bit_count()
+        for v in range(low, n):
+            if (h >> (v - low)) & 1:
+                ones[v] += count
+    return [Fraction(c, space.count) for c in ones]
 
 
 def conditional_prob(formula, condition, event, limit=None) -> Fraction:

@@ -98,29 +98,35 @@ def _clause_key(clause):
 def theta(n, clauses, k):
     """Brute-force resilience: scan every size-k clause not in the formula.
 
-    Returns (theta, zero_count, argmin) where theta is the minimum nonzero
-    forbidden-pattern probability (None if no candidate has nonzero
-    probability, which cannot happen for satisfiable formulas), zero_count
-    the number of candidates with probability exactly 0, and argmin the
-    (vars, pattern) pair attaining theta.
+    Returns (theta, zero_count, argmin, candidates) where theta is the
+    minimum nonzero forbidden-pattern probability (None if no candidate has
+    nonzero probability, which cannot happen for satisfiable formulas),
+    zero_count the number of candidates with probability exactly 0, argmin
+    the first (vars, pattern) pair attaining theta, and candidates the
+    number of size-k clauses not in the formula.  Candidates are scanned by
+    colex variable set, then ascending forbidden pattern read as a binary
+    number whose bit i is the value of the set's i-th variable.
     """
     sols = solutions(n, clauses)
     if not sols:
         raise ValueError("formula is unsatisfiable")
     present = {_clause_key(c) for c in clauses}
+    colex = lambda seq: seq[::-1]
     best = None
     argmin = None
     zero_count = 0
-    for vs in combinations(range(n), k):
+    candidates = 0
+    for vs in sorted(combinations(range(n), k), key=colex):
         # one pass over the solutions per variable subset: tally how often
         # each projected pattern occurs, then read off all 2^k candidates
         hits = {}
         for a in sols:
             proj = tuple(a[v] for v in vs)
             hits[proj] = hits.get(proj, 0) + 1
-        for pattern in product((False, True), repeat=k):
+        for pattern in sorted(product((False, True), repeat=k), key=colex):
             if (vs, pattern) in present:
                 continue
+            candidates += 1
             h = hits.get(pattern, 0)
             if h == 0:
                 zero_count += 1
@@ -129,7 +135,26 @@ def theta(n, clauses, k):
             if best is None or p < best:
                 best = p
                 argmin = (vs, pattern)
-    return best, zero_count, argmin
+    return best, zero_count, argmin, candidates
+
+
+def last_first_hit(tree, unsupported):
+    """Largest 1-based first-hit time over the leaves of a split tree over
+    samples, or None while a supported pattern has no hit.
+
+    tree yields (subset, leaves) per k-subset, leaves[b] the int whose bit
+    t is set iff sample t shows pattern b on the subset; unsupported counts,
+    per subset, the patterns of zero truth probability.  Samples only ever
+    hit supported patterns, so one is unhit iff its subset has more empty
+    leaves than unsupported patterns.
+    """
+    hits = 0  # the lowest set bit of every leaf seen so far
+    for (_, leaves), empty in zip(tree, unsupported):
+        if leaves.count(0) > empty:
+            return None
+        for leaf in leaves:
+            hits |= leaf & -leaf
+    return hits.bit_length()
 
 
 def correlation(n, clauses, u, v):

@@ -324,7 +324,7 @@ def test_exact_quantities_match_direct_enumeration_oracle():
         shrunk = CnfFormula(formula.n, formula.clauses[1:])
         assert tv_distance(formula, shrunk) == naive.tv_distance(
             formula.n, naive_clauses, to_naive(shrunk)[1])
-        expect_theta, expect_zeros, _ = naive.theta(formula.n, naive_clauses, k)
+        expect_theta, expect_zeros, _, _ = naive.theta(formula.n, naive_clauses, k)
         report = resilience_theta(formula, k)
         assert report.theta == expect_theta, seed_i
         assert report.zero_set_size == expect_zeros, seed_i

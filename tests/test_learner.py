@@ -1,6 +1,9 @@
 """Clause-elimination learner, clause extension, and the sample-complexity sweep."""
 
+import gc
+import itertools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -24,13 +27,14 @@ from cnflab import (
     gen_random_cnf,
     predicted_sample_bound,
     RandomCnfSpec,
+    resilience_theta,
     sample_complexity_sweep,
     sample_uniform,
     valiant_learn,
 )
 from cnflab import learner
 from cnflab.learner import colex_rank, iter_ksubsets_colex
-from cnflab.solutions import solution_bitmap
+from cnflab.solutions import Space, pinning_bitmap, solution_bitmap
 
 from util import F, bits, pos
 
@@ -111,6 +115,114 @@ def test_split_tree_walks_colex_and_partitions_items(case):
         for t, a in enumerate(samples):
             expect[Clause(subset, 0).pattern_of(a)] |= 1 << t
         assert leaves == expect
+
+
+def colex_subsets(n, k):
+    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+
+
+def pattern_on(a, subset):
+    """The pattern of packed assignment a on subset, bit i for subset[i]."""
+    return sum(((a >> v) & 1) << i for i, v in enumerate(subset))
+
+
+@st.composite
+def counted_bitmaps(draw):
+    """(n, k, full): n <= 7, any 0 <= k <= n, any set of assignments."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    k = draw(st.integers(min_value=0, max_value=n))
+    return n, k, draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+
+
+@given(counted_bitmaps())
+def test_pattern_counts_match_brute_force(case):
+    n, k, full = case
+    columns = [pinning_bitmap(n, {v: True}) for v in range(n)]
+    walk = list(learner._pattern_counts(n, k, columns, full))
+    assert [subset for subset, _ in walk] == colex_subsets(n, k)
+    items = [a for a in range(1 << n) if (full >> a) & 1]
+    for subset, counts in walk:
+        expect = [0] * (1 << k)
+        for a in items:
+            expect[pattern_on(a, subset)] += 1
+        assert counts == expect
+        assert sum(counts) == full.bit_count()
+
+
+def reference_first_hit(n, k, samples, truth):
+    """The split tree plus naive.last_first_hit, with the truth's support
+    counted by brute force; also returns the packed scan's `supported`."""
+    unsupported = []
+    for subset in colex_subsets(n, k):
+        shown = {pattern_on(a, subset) for a in truth}
+        unsupported.append((1 << k) - len(shown))
+    tree = learner._split_tree(n, k, learner._columns(samples, n),
+                               (1 << len(samples)) - 1)
+    supported = math.comb(n, k) * (1 << k) - sum(unsupported)
+    return naive.last_first_hit(tree, unsupported), supported
+
+
+# T = 7, 8, 9 and 63, 64, 65 put the guard bit on either side of a byte
+# boundary of the field
+FIRST_HIT_TS = (0, 1, 7, 8, 9, 63, 64, 65)
+
+
+@st.composite
+def first_hit_inputs(draw):
+    """(n, k, samples, truth): samples drawn from a truth set of
+    assignments that holds them and maybe more."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.one_of(st.sampled_from(sorted({0, min(1, n), n})),
+                       st.integers(min_value=0, max_value=n)))
+    T = draw(st.sampled_from(FIRST_HIT_TS))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    samples = draw(st.lists(st.sampled_from(pool), min_size=T, max_size=T))
+    extra = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=2))
+    return n, k, samples, set(samples) | extra
+
+
+@settings(max_examples=200)
+@given(first_hit_inputs())
+def test_first_hit_scan_matches_split_tree_reference(case):
+    n, k, samples, truth = case
+    expect, supported = reference_first_hit(n, k, samples, truth)
+    assert learner._first_hit_scan(n, k, samples, supported) == expect
+
+
+@pytest.mark.parametrize("T", FIRST_HIT_TS)
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_first_hit_scan_complete_and_incomplete(T, k):
+    # truth = the samples completes at the last new hit; one unseen truth
+    # assignment keeps the scan incomplete whenever it shows a new pattern
+    n = 5
+    rng = random.Random(T * 10 + k)
+    samples = [rng.randrange(1 << n) for _ in range(T)]
+    for truth in (set(samples), set(samples) | {rng.randrange(1 << n)}):
+        expect, supported = reference_first_hit(n, k, samples, truth)
+        assert learner._first_hit_scan(n, k, samples, supported) == expect
+        if truth == set(samples):
+            assert expect is not None
+
+
+def test_pattern_scans_leave_no_reference_cycles():
+    # every scan is a module-level function, not a recursive closure, so a
+    # call frees its bitmaps at once instead of at the next cyclic collection
+    truth = gen_disjoint_family(3, 9, "gc")
+    space = Space(truth)
+    calls = [
+        lambda: resilience_theta(truth, 3),
+        lambda: sample_complexity_sweep([("d", truth)], 3, [20, 80], trials=3,
+                                        seed_base="gc"),
+        lambda: space.counts_by_pattern((4, 1, 7)),
+    ]
+    for call in calls:
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_valiant_edge_cases():

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cnflab import (
     Clause,
@@ -13,6 +14,7 @@ from cnflab import (
     UnsatisfiableError,
     check_local_uniformity,
     conditional_prob,
+    count_solutions,
     find_pin_sequence,
     forbidden_pattern_prob,
     gen_disjoint_family,
@@ -70,10 +72,39 @@ def test_theta_validation():
 def test_theta_matches_naive_oracle():
     f = gen_random_cnf(RandomCnfSpec(2, 7, 1.2, "theta"))
     n, clauses = to_naive(f)
-    expected, zeros, _ = naive.theta(n, clauses, 2)
+    expected, zeros, _, _ = naive.theta(n, clauses, 2)
     rep = resilience_theta(f, 2)
     assert rep.theta == expected
     assert rep.zero_set_size == zeros
+
+
+@st.composite
+def theta_cases(draw):
+    """(formula, k): a satisfiable formula on n <= 6 variables whose clauses
+    have any size, may repeat or be tautologies; k in {1, 2, 3} or n."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.sampled_from(sorted({w for w in (1, 2, 3) if w <= n} | {n})))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=n), max_size=7))
+    formula = F(n, *clauses)
+    assume(count_solutions(formula))
+    return formula, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta_cases())
+def test_theta_report_matches_naive_oracle(case):
+    # small formulas tie often, so the argmin checks the tie-break: the
+    # first minimum by colex variable set, then ascending pattern
+    formula, k = case
+    n, clauses = to_naive(formula)
+    expected, zeros, argmin, candidates = naive.theta(n, clauses, k)
+    rep = resilience_theta(formula, k)
+    assert rep.theta == expected
+    assert rep.zero_set_size == zeros
+    assert rep.candidates == candidates
+    pattern = tuple(bool((rep.argmin.forbidden >> i) & 1) for i in range(k))
+    assert (rep.argmin.vars, pattern) == argmin
 
 
 def test_local_uniformity_linear_instance():

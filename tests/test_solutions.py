@@ -179,6 +179,36 @@ def test_space_counts_by_pattern_sums_to_count():
         assert counts[pattern] == space.count_matching((1, 4, 7), pattern)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                      min_size=1, max_size=3), max_size=6) if n else st.just([]),
+    st.lists(st.integers(0, n - 1), unique=True, max_size=n) if n else st.just([]),
+)))
+def test_counts_by_pattern_matches_naive(case):
+    # vs in any order: bit i of a pattern is the value of vs[i]
+    n, clauses, vs = case
+    sols = naive.solutions(n, clauses)
+    expected = [0] * (1 << len(vs))
+    for a in sols:
+        expected[sum(a[v] << i for i, v in enumerate(vs))] += 1
+    assert Space(F(n, *clauses)).counts_by_pattern(tuple(vs)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(bitmap_formulas())
+def test_marginals_match_variable_counts(f):
+    # n up to 20 spans several bitmap rows, so variables above 16 are
+    # counted per row and those below per row mask
+    space = Space(f)
+    if not space.count:
+        return
+    assert marginals(f) == [
+        Fraction(space.count_matching((v,), 1), space.count) for v in range(f.n)
+    ]
+
+
 def test_space_select_matches_iteration():
     f = gen_gadget(GadgetSpec(3, 2))
     space = Space(f)
