@@ -298,6 +298,22 @@ def validate_config(data, command="sweep"):
     return ExperimentConfig(command=command, values=dict(data))
 
 
+def _read_config(path, command):
+    """The validated values of a JSON config file: an unreadable file is a
+    CnfError (exit 1), invalid JSON or a schema error a ConfigUsageError
+    (exit 2)."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise CnfError("cannot read %s: %s" % (path, e)) from e
+    except json.JSONDecodeError as e:
+        raise ConfigUsageError(["$: invalid JSON: %s" % e])
+    config = validate_config(data, command=command)
+    if isinstance(config, list):
+        raise ConfigUsageError(config)
+    return config.values
+
+
 def _read_formula(path):
     try:
         text = Path(path).read_text()
@@ -415,16 +431,7 @@ def _cmd_learn(args):
 
 
 def _cmd_sweep(args):
-    try:
-        data = json.loads(Path(args.config).read_text())
-    except OSError as e:
-        raise CnfError("cannot read %s: %s" % (args.config, e)) from e
-    except json.JSONDecodeError as e:
-        raise ConfigUsageError(["$: invalid JSON: %s" % e])
-    config = validate_config(data, command="sweep")
-    if isinstance(config, list):
-        raise ConfigUsageError(config)
-    values = config.values
+    values = _read_config(args.config, "sweep")
     instances = [build_family(spec) for spec in values["instances"]]
     result = sample_complexity_sweep(
         instances,
@@ -509,16 +516,7 @@ def _cmd_props(args):
 
 def _cmd_reveal_sim(args):
     formula = _read_formula(args.formula)
-    try:
-        data = json.loads(Path(args.config).read_text())
-    except OSError as e:
-        raise CnfError("cannot read %s: %s" % (args.config, e)) from e
-    except json.JSONDecodeError as e:
-        raise ConfigUsageError(["$: invalid JSON: %s" % e])
-    config = validate_config(data, command="reveal-sim")
-    if isinstance(config, list):
-        raise ConfigUsageError(config)
-    values = config.values
+    values = _read_config(args.config, "reveal-sim")
     target = values["target"]
     if not 0 <= target < formula.n:
         raise ValueError("target %d out of range [0, %d)" % (target, formula.n))

@@ -4,19 +4,14 @@ The learner starts from every size-k clause over distinct variables and
 removes each clause some sample violates; what survives is the output
 formula.
 
-Items (samples, or the assignments of a solution bitmap) are transposed
-into n column ints, and three bit-parallel scans read every k-subset's
-patterns off them in colex order, with no Python step per item:
+Samples are transposed into n column ints, and two bit-parallel scans read
+every k-subset's patterns off them in colex order, with no Python step per
+sample (exact counts over a solution bitmap are solutions._pattern_counts):
 
 - _split_tree, the learner's: a depth-first tree in which each node splits
-  its parent's item sets by one more column, each shared prefix split
+  its parent's sample sets by one more column, each shared prefix split
   once, about C(n,k) * 2^k ANDs of T-bit ints; a leaf holds the samples
   showing one pattern on one subset.
-- _pattern_counts, the exact counts over a solution bitmap (resilience,
-  counts_by_pattern, the sweep's truth support): one AND and one popcount
-  per set of at most k variables gives its all-True count, and a superset
-  Moebius transform on small ints turns a subset's 2^k of them into its
-  pattern counts.
 - _first_hit_scan, the sweep's completion check: every k-subset is one
   guard-bit field of one int per subset position, so each of the 2^k
   patterns costs a few whole-int operations for all subsets at once.  Over
@@ -38,32 +33,14 @@ from fractions import Fraction
 
 from .core import Clause, CnfFormula, LearnerInvariantError, UnsatisfiableError
 from .rand import SeededRng, derived_seed
-from .solutions import Space, sample_uniform, solution_bitmap
-
-
-def iter_ksubsets_colex(n, k):
-    """All k-subsets of range(n) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    if k > n:
-        return
-    subset = list(range(k))
-    while True:
-        yield tuple(subset)
-        i = 0
-        while i + 1 < k and subset[i] + 1 == subset[i + 1]:
-            i += 1
-        if subset[i] + 1 >= n:
-            return
-        subset[i] += 1
-        for j in range(i):
-            subset[j] = j
-
-
-def colex_rank(subset) -> int:
-    """Position of a sorted subset in colex order: sum of C(s_i, i+1)."""
-    return sum(math.comb(s, i + 1) for i, s in enumerate(subset))
+from .solutions import (
+    Space,
+    _pattern_counts,
+    iter_ksubsets_colex,
+    sample_uniform,
+    solution_bitmap,
+    tv_distance,
+)
 
 
 def _split_tree(n, k, columns, full):
@@ -99,59 +76,6 @@ def _split_walk(columns, i, top, suffix, parts):
             yield from _split_walk(columns, i - 1, v, (v,) + suffix, split)
         else:
             yield (v,) + suffix, split
-
-
-def _pattern_counts(n, k, columns, full):
-    """(subset, counts) for every k-subset of range(n), in colex order.
-
-    columns[v] holds the items whose variable v is True; full holds every
-    item.  counts[b] is the number of items whose values on subset form
-    pattern b (bit i of b is the value of subset[i], the Clause.forbidden
-    convention).  The all-True count N(S) of every set S of at most k
-    variables comes first, then each subset's counts are the superset
-    Moebius transform of its 2^k values N(S), S within the subset:
-    counts[b] = sum over c containing b of (-1)^|c - b| N(c).
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    all_true = {0: full.bit_count()}  # variable-set mask -> N
-    _all_true_walk(columns, k, 0, 0, full, all_true)
-    return (
-        (subset, _superset_moebius(all_true, subset))
-        for subset in iter_ksubsets_colex(n, k)
-    )
-
-
-def _all_true_walk(columns, depth, start, key, node, out):
-    """For every set S of 1 to `depth` variables from start on, record
-    out[key | S] = popcount(node & the columns of S), sets as bit masks.
-
-    One AND and one popcount per set, each extending its prefix's node, so
-    at most `depth` bitmaps are alive; a branch left with no item ends, and
-    the sets below it, missing from out, count 0.  A module-level function,
-    not a closure: a recursive closure is a reference cycle that would hold
-    the columns until the cyclic garbage collector runs.
-    """
-    for v in range(start, len(columns)):
-        child = node & columns[v]
-        out[key | 1 << v] = child.bit_count()
-        if depth > 1 and child:
-            _all_true_walk(columns, depth - 1, v + 1, key | 1 << v, child, out)
-
-
-def _superset_moebius(all_true, subset):
-    """The pattern counts on subset from the all-True counts of its subsets."""
-    masks = [0]
-    for v in subset:
-        masks += [m | 1 << v for m in masks]
-    counts = [all_true.get(m, 0) for m in masks]
-    step = 1
-    while step < len(counts):
-        for b in range(len(counts)):
-            if not b & step:
-                counts[b] -= counts[b | step]
-        step <<= 1
-    return counts
 
 
 def _columns(samples, n):
@@ -250,8 +174,6 @@ def exact_learning_trial(truth, k, T, seed, family="", report_tv=False, limit=No
     raising LearnerInvariantError if one fails: the learned solution set
     contains every sample and never exceeds the truth's solution set.
     """
-    from .solutions import tv_distance
-
     start = time.monotonic()
     samples = sample_uniform(truth, T, seed, limit=limit)
     learned = valiant_learn(truth.n, k, samples)
@@ -427,6 +349,8 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
     grid = sorted(set(t_grid))
     if not grid or grid[0] < 0:
         raise ValueError("t_grid must be nonempty and nonnegative")
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %d" % trials)
     rows = []
     t_star = {}
     for family, formula in instances:
@@ -437,14 +361,12 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
         space = Space(formula, limit=limit)
         if space.count == 0:
             raise UnsatisfiableError("sweep instance %r is unsatisfiable" % (family,))
-        columns = [space.var_mask(v) for v in range(formula.n)]
         supported = sum(
             1
-            for _, counts in _pattern_counts(formula.n, k, columns, space.bitmap)
+            for _, counts in _pattern_counts(formula.n, k, space.bitmap)
             for count in counts
             if count
         )
-        del columns
         times = [
             _completion_time(space, k, supported, grid[-1],
                              derived_seed(seed_base, t))

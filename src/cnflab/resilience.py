@@ -3,9 +3,9 @@
 Resilience of a formula at width k: every size-k clause outside the formula
 has forbidden-pattern probability either exactly 0 or at least theta, and
 theta is the smallest nonzero value.  Computed here exactly over all
-2^k * C(n,k) candidates from the learner's pattern counts over the solution
-bitmap: one popcount per set of at most k variables, turned into
-per-pattern counts on small ints.
+2^k * C(n,k) candidates from the pattern counts over the solution bitmap
+(solutions._pattern_counts): one popcount per bitmap row and set of at most
+k variables, turned into per-pattern counts on small ints.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import Clause, CnfFormula, UnsatisfiableError, clause_status, SATISFIED
-from .learner import _pattern_counts
-from .solutions import Space, marginals
+from .solutions import Space, _pattern_counts, marginals
 from .structure import large_intersection_clauses
 
 
@@ -50,8 +49,7 @@ def resilience_theta(formula: CnfFormula, k, limit=None) -> ResilienceReport:
     best_clause = None
     zero = 0
     candidates = 0
-    columns = [space.var_mask(v) for v in range(formula.n)]
-    for subset, counts in _pattern_counts(formula.n, k, columns, space.bitmap):
+    for subset, counts in _pattern_counts(formula.n, k, space.bitmap):
         for pattern, cnt in enumerate(counts):
             if (subset, pattern) in own:
                 continue

@@ -8,14 +8,19 @@ is the complement of the OR of the 2^L-bit low-variable cylinders of the
 clauses whose literals on the high variables that pattern all falsifies
 (every clause without high variables included), so a build costs about
 m * 2^(n-L) small ORs plus one 2^n-bit join, not m full 2^n-bit cylinders.
-Every probability afterwards is a popcount.  Everything is exact; the only
-floats in this module are never returned.
+Every probability afterwards is a popcount.  Every count of solutions with
+a set of at most k variables all True (resilience, the sweep's truth
+support, counts_by_pattern, marginals, correlation) is read off the same
+rows by one walk, and a subset Moebius transform turns such counts into
+pattern counts; this module is the only one that knows the row layout.
+Everything is exact; the only floats in this module are never returned.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +53,31 @@ _HALVES = tuple(
 # variables >= _LOW_BITS; a random 3-CNF at n=25 builds in 0.02-0.04 s with
 # widths 14-20 and in 0.19 s with 10 (2-vCPU Xeon guest)
 _LOW_BITS = 16
+
+
+def iter_ksubsets_colex(n, k):
+    """All k-subsets of range(n) in colexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    if k > n:
+        return
+    subset = list(range(k))
+    while True:
+        yield tuple(subset)
+        i = 0
+        while i + 1 < k and subset[i] + 1 == subset[i + 1]:
+            i += 1
+        if subset[i] + 1 >= n:
+            return
+        subset[i] += 1
+        for j in range(i):
+            subset[j] = j
+
+
+def colex_rank(subset) -> int:
+    """Position of a sorted subset in colex order: sum of C(s_i, i+1)."""
+    return sum(math.comb(s, i + 1) for i, s in enumerate(subset))
 
 
 def _check_limit(n, limit):
@@ -139,6 +169,94 @@ def solution_bitmap(formula: CnfFormula, limit=None) -> int:
     return _bitmap(formula.n, formula.clauses)
 
 
+def _all_true_counts(n, bitmap, vs, depth):
+    """All-True counts N(S) over a 2^n-bit set of assignments: for every set
+    S of at most `depth` positions of the variable tuple vs, keyed by its
+    position mask (bit i for vs[i]; the empty set is key 0), the number of
+    assignments with every variable at those positions True.  A set missing
+    from the result counts 0.
+
+    Walked per 2^L-bit row, L = min(n, _LOW_BITS): a variable below L goes
+    through its 2^L-bit mask, built once; a variable at or above L is True
+    throughout the rows whose high pattern sets it and False in the others,
+    so a row just skips it or keeps its node.  No 2^n-bit mask is built.
+    Raises ValueError for a variable outside [0, n) before allocating.
+    """
+    for v in vs:
+        if not 0 <= v < n:
+            raise ValueError("variable %d out of range [0, %d)" % (v, n))
+    low = min(n, _LOW_BITS)
+    masks = [_cylinder(low, (v,), 1) if v < low else None for v in vs]
+    row_bytes = ((1 << low) + 7) // 8
+    raw = memoryview(bitmap.to_bytes(row_bytes << (n - low), "little"))
+    out = {0: bitmap.bit_count()}
+    for h in range(1 << (n - low)):
+        row = int.from_bytes(raw[h * row_bytes : (h + 1) * row_bytes], "little")
+        if row:
+            steps = [
+                (1 << i, mask)
+                for i, (v, mask) in enumerate(zip(vs, masks))
+                if mask is not None or (h >> (v - low)) & 1
+            ]
+            _all_true_walk(steps, depth, 0, 0, row, out)
+    return out
+
+
+def _all_true_walk(steps, depth, start, key, node, out):
+    """Add to out[key | S] the popcount of node within every set S of 1 to
+    `depth` of steps[start:], each step a (position bit, 2^L-bit mask, or
+    None for a variable True in the whole row).
+
+    One AND and one popcount per set, each extending its prefix's node, so
+    at most `depth` rows are alive; a branch left with no item ends.  A
+    module-level function, not a closure: a recursive closure is a
+    reference cycle that would hold the rows until the cyclic garbage
+    collector runs.
+    """
+    for j in range(start, len(steps)):
+        bit, mask = steps[j]
+        child = node if mask is None else node & mask
+        count = child.bit_count()
+        if count:
+            out[key | bit] = out.get(key | bit, 0) + count
+            if depth > 1:
+                _all_true_walk(steps, depth - 1, j + 1, key | bit, child, out)
+
+
+def _superset_moebius(all_true, positions):
+    """The pattern counts on the given positions from the all-True counts
+    of their subsets: counts[b] = sum over c containing b of
+    (-1)^|c - b| N(c), bit i of b for positions[i]."""
+    masks = [0]
+    for i in positions:
+        masks += [m | 1 << i for m in masks]
+    counts = [all_true.get(m, 0) for m in masks]
+    step = 1
+    while step < len(counts):
+        for b in range(len(counts)):
+            if not b & step:
+                counts[b] -= counts[b | step]
+        step <<= 1
+    return counts
+
+
+def _pattern_counts(n, k, bitmap):
+    """(subset, counts) for every k-subset of range(n), in colex order.
+
+    counts[b] is the number of assignments in the 2^n-bit bitmap whose
+    values on subset form pattern b (bit i of b is the value of subset[i],
+    the Clause.forbidden convention): the superset Moebius transform of the
+    subset's 2^k all-True counts.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    all_true = _all_true_counts(n, bitmap, range(n), k)
+    return (
+        (subset, _superset_moebius(all_true, subset))
+        for subset in iter_ksubsets_colex(n, k)
+    )
+
+
 class Space:
     """Enumerated solution space with popcount-based exact queries.
 
@@ -172,10 +290,6 @@ class Space:
         sub.count = bitmap.bit_count()
         return sub
 
-    def var_mask(self, v) -> int:
-        """Bitmap of assignments with variable v True (formula ignored)."""
-        return _cylinder(self.n, (v,), 1)
-
     def count_matching(self, vs, pattern: int) -> int:
         """Number of solutions matching `pattern` on variable tuple `vs`."""
         return (self.bitmap & _cylinder(self.n, vs, pattern)).bit_count()
@@ -184,14 +298,11 @@ class Space:
         """Solution counts for all 2^k patterns on `vs` in one sweep.
 
         Index bit i of the returned list's position corresponds to vs[i],
-        matching the Clause.forbidden convention.
+        matching the Clause.forbidden convention; a repeated variable
+        counts 0 under the patterns that give its copies different values.
         """
-        from .learner import _pattern_counts
-
-        # the one k-subset of k variables is vs itself
-        columns = [self.var_mask(v) for v in vs]
-        ((_, counts),) = _pattern_counts(len(vs), len(vs), columns, self.bitmap)
-        return counts
+        all_true = _all_true_counts(self.n, self.bitmap, vs, len(vs))
+        return _superset_moebius(all_true, range(len(vs)))
 
     @functools.cached_property
     def _select_index(self):
@@ -272,8 +383,10 @@ def sample_uniform(formula, T, seed, limit=None, method="enumerate", reject_budg
     method="rejection" draws whole assignments until one satisfies the
     formula; it works beyond the enumeration limit but gives up (with
     SamplingBudgetError) once the total try budget, default 10000 per
-    requested sample, is spent.
+    requested sample, is spent.  A negative T raises ValueError.
     """
+    if T < 0:
+        raise ValueError("T must be >= 0, got %d" % T)
     rng = SeededRng(seed)
     if method == "rejection":
         budget = 10_000 * T if reject_budget is None else reject_budget
@@ -306,29 +419,11 @@ def _space_checked(formula, limit):
 
 
 def marginals(formula, limit=None):
-    """Pr[X(v) = True] for every variable, as exact fractions.
-
-    Counted over the bitmap's 2^L-bit rows, L = min(n, 16), as it is
-    built: a variable v < L through its 2^L-bit mask in every row, a
-    variable v >= L as the solutions of the rows whose pattern sets it.
-    No 2^n-bit mask is allocated.
-    """
+    """Pr[X(v) = True] for every variable, as exact fractions: the
+    all-True counts of the single variables."""
     space = _space_checked(formula, limit)
-    n = formula.n
-    low = min(n, _LOW_BITS)
-    row_bytes = ((1 << low) + 7) // 8
-    raw = space.bitmap.to_bytes(row_bytes << (n - low), "little")
-    masks = [_cylinder(low, (v,), 1) for v in range(low)]
-    ones = [0] * n
-    for h in range(1 << (n - low)):
-        row = int.from_bytes(raw[h * row_bytes : (h + 1) * row_bytes], "little")
-        for v, mask in enumerate(masks):
-            ones[v] += (row & mask).bit_count()
-        count = row.bit_count()
-        for v in range(low, n):
-            if (h >> (v - low)) & 1:
-                ones[v] += count
-    return [Fraction(c, space.count) for c in ones]
+    ones = _all_true_counts(formula.n, space.bitmap, range(formula.n), 1)
+    return [Fraction(ones.get(1 << v, 0), space.count) for v in range(formula.n)]
 
 
 def conditional_prob(formula, condition, event, limit=None) -> Fraction:
@@ -374,27 +469,13 @@ def correlation_dC(formula, u, v, limit=None) -> Fraction:
         raise ValueError("need two distinct variables")
     space = _space_checked(formula, limit)
     total = space.count
-    # one 2^n-bit cylinder and AND result at a time: holding both variable
-    # masks as well put this query above marginals' peak memory
-    cu = space.count_matching((u,), 1)
-    cv = space.count_matching((v,), 1)
-    c11 = space.count_matching((u, v), 0b11)
-    result = Fraction(0)
-    for xu in (False, True):
-        for xv in (False, True):
-            joint = (
-                c11
-                if (xu and xv)
-                else (cu - c11)
-                if xu
-                else (cv - c11)
-                if xv
-                else total - cu - cv + c11
-            )
-            pu = cu if xu else total - cu
-            pv = cv if xv else total - cv
-            result += abs(Fraction(joint, total) - Fraction(pu * pv, total * total))
-    return result
+    joint = space.counts_by_pattern((u, v))  # bit 0 is X(u), bit 1 is X(v)
+    pu = (joint[0] + joint[2], joint[1] + joint[3])
+    pv = (joint[0] + joint[1], joint[2] + joint[3])
+    return sum(
+        abs(Fraction(joint[b], total) - Fraction(pu[b & 1] * pv[b >> 1], total * total))
+        for b in range(4)
+    )
 
 
 def equivalent(a: CnfFormula, b: CnfFormula, limit=None) -> bool:

@@ -136,6 +136,16 @@ def test_sample_is_seed_deterministic(tmp_path, capsys):
     assert all(len(s) == 3 for s in first["payload"]["samples"])
 
 
+def test_negative_sample_count_is_an_error(tmp_path, capsys):
+    path = formula_file(tmp_path, "g.cnf", gen_gadget(GadgetSpec(3, 1, True)))
+    for argv in (["sample", path, "--t", "-3", "--seed", "s"],
+                 ["sample", path, "--t", "-3", "--seed", "s", "--method", "rejection"],
+                 ["learn", path, "--k", "3", "--t", "-3", "--seed", "s"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "error: T must be >= 0, got -3" in err
+
+
 def test_missing_formula_file_is_runtime_error(capsys):
     code, _, err = invoke(capsys, "count", "/nonexistent/path.cnf")
     assert code == 1

@@ -17,6 +17,7 @@ from cnflab import (
     GadgetSpec,
     LearnerInvariantError,
     UnsatisfiableError,
+    correlation_dC,
     derived_seed,
     enumerate_solutions,
     equivalent,
@@ -25,6 +26,7 @@ from cnflab import (
     gen_disjoint_family,
     gen_gadget,
     gen_random_cnf,
+    marginals,
     predicted_sample_bound,
     RandomCnfSpec,
     resilience_theta,
@@ -32,9 +34,13 @@ from cnflab import (
     sample_uniform,
     valiant_learn,
 )
-from cnflab import learner
-from cnflab.learner import colex_rank, iter_ksubsets_colex
-from cnflab.solutions import Space, pinning_bitmap, solution_bitmap
+from cnflab import learner, solutions
+from cnflab.solutions import (
+    Space,
+    colex_rank,
+    iter_ksubsets_colex,
+    solution_bitmap,
+)
 
 from util import F, bits, pos
 
@@ -128,19 +134,34 @@ def pattern_on(a, subset):
 
 @st.composite
 def counted_bitmaps(draw):
-    """(n, k, full): n <= 7, any 0 <= k <= n, any set of assignments."""
-    n = draw(st.integers(min_value=0, max_value=7))
-    k = draw(st.integers(min_value=0, max_value=n))
-    return n, k, draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+    """(n, k, full): n <= 7, any 0 <= k <= n, any set of assignments; or
+    n in 17..20 (several 2^16-bit bitmap rows), k <= 3, and a few
+    assignments in some of the rows, so at least one row is empty."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=0, max_value=7))
+        k = draw(st.integers(min_value=0, max_value=n))
+        return n, k, draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+    n = draw(st.integers(min_value=17, max_value=20))
+    k = draw(st.integers(min_value=0, max_value=3))
+    rows = draw(st.sets(st.integers(0, (1 << (n - 16)) - 1),
+                        max_size=(1 << (n - 16)) - 1))
+    full = 0
+    for h in rows:
+        for low in draw(st.lists(st.integers(0, (1 << 16) - 1), min_size=1, max_size=6)):
+            full |= 1 << (h << 16 | low)
+    return n, k, full
 
 
+@settings(deadline=None)
 @given(counted_bitmaps())
 def test_pattern_counts_match_brute_force(case):
     n, k, full = case
-    columns = [pinning_bitmap(n, {v: True}) for v in range(n)]
-    walk = list(learner._pattern_counts(n, k, columns, full))
+    walk = list(solutions._pattern_counts(n, k, full))
     assert [subset for subset, _ in walk] == colex_subsets(n, k)
-    items = [a for a in range(1 << n) if (full >> a) & 1]
+    items, rest = [], full
+    while rest:
+        items.append((rest & -rest).bit_length() - 1)
+        rest &= rest - 1
     for subset, counts in walk:
         expect = [0] * (1 << k)
         for a in items:
@@ -208,12 +229,16 @@ def test_pattern_scans_leave_no_reference_cycles():
     # every scan is a module-level function, not a recursive closure, so a
     # call frees its bitmaps at once instead of at the next cyclic collection
     truth = gen_disjoint_family(3, 9, "gc")
+    wide = gen_disjoint_family(3, 18, "gc")  # four bitmap rows
     space = Space(truth)
     calls = [
         lambda: resilience_theta(truth, 3),
+        lambda: resilience_theta(wide, 2),
         lambda: sample_complexity_sweep([("d", truth)], 3, [20, 80], trials=3,
                                         seed_base="gc"),
         lambda: space.counts_by_pattern((4, 1, 7)),
+        lambda: marginals(wide),
+        lambda: correlation_dC(wide, 2, 17),
     ]
     for call in calls:
         gc.collect()
@@ -397,6 +422,11 @@ def test_sweep_input_validation():
     with pytest.raises(ValueError):
         sample_complexity_sweep([("d", gen_disjoint_family(2, 4, 1))], 2, [],
                                 trials=2, seed_base="s")
+    # zero trials would report T* at the smallest grid point
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sample_complexity_sweep([("d", gen_disjoint_family(3, 9, 1))], 3,
+                                    [5, 50], trials=trials, seed_base="s")
 
 
 @st.composite

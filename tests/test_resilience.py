@@ -1,6 +1,7 @@
 """Resilience threshold, local uniformity, and the intersection pin sequence."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,20 @@ def test_theta_disjoint_families():
     assert rep.solution_count == 343
     rep2 = resilience_theta(gen_disjoint_family(2, 8, "t"), 2)
     assert rep2.theta == Fraction(1, 9)
+
+
+def test_theta_builds_no_full_width_variable_masks():
+    # the counts walk 2^16-bit rows: the peak is a few copies of the
+    # 256 KB bitmap at n = 21, where 21 variable masks would add 5.5 MB
+    formula = gen_disjoint_family(3, 21, "mem")
+    tracemalloc.start()
+    try:
+        report = resilience_theta(formula, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.theta == Fraction(3, 49)
+    assert peak < 2 * 1024 * 1024
 
 
 def test_theta_restricted_gadget():

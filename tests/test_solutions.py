@@ -142,7 +142,7 @@ def test_pinning_bitmap_matches_definition(case):
 
 @settings(max_examples=50, deadline=None)
 @given(small_pinnings(), st.integers(0, 2**32 - 1))
-def test_count_matching_and_var_mask_match_definition(case, seed):
+def test_count_matching_matches_definition(case, seed):
     n, pinning = case
     f = gen_random_cnf(RandomCnfSpec(2, n, 1.0, seed)) if n >= 2 else CnfFormula(n, ())
     space = Space(f)
@@ -150,8 +150,6 @@ def test_count_matching_and_var_mask_match_definition(case, seed):
     pattern = sum(1 << i for i, v in enumerate(vs) if pinning[v])
     expected = sum(1 for a in range(1 << n) if f.satisfied_by(a) and _agrees(a, pinning))
     assert space.count_matching(vs, pattern) == expected
-    for v in range(n):
-        assert space.var_mask(v) == sum(1 << a for a in range(1 << n) if (a >> v) & 1)
 
 
 def test_out_of_range_variables_raise():
@@ -164,9 +162,37 @@ def test_out_of_range_variables_raise():
         pinning_bitmap(3, {-1: True})
     space = Space(f)
     with pytest.raises(ValueError, match="variable 3 out of range"):
-        space.var_mask(3)
+        space.counts_by_pattern((3,))
     with pytest.raises(ValueError, match="variable -1 out of range"):
         space.count_matching((0, -1), 0)
+
+
+@pytest.mark.parametrize("bad", [18, 20, -1])
+def test_multi_row_queries_reject_out_of_range_variables(bad):
+    # n = 18 spans four bitmap rows; every count query names the variable
+    f = gen_disjoint_family(3, 18, "range")
+    space = Space(f)
+    message = "variable %d out of range \\[0, 18\\)" % bad
+    with pytest.raises(ValueError, match=message):
+        space.counts_by_pattern((0, bad))
+    with pytest.raises(ValueError, match=message):
+        correlation_dC(f, bad, 0)
+    with pytest.raises(ValueError, match=message):
+        correlation_dC(f, 17, bad)
+
+
+def test_counts_by_pattern_multi_row_with_repeated_variables():
+    # bit i of a pattern is the value of vs[i], also when vs repeats a
+    # variable: patterns splitting its copies count 0
+    f = gen_random_cnf(RandomCnfSpec(3, 19, 3.0, "rows"))
+    space = Space(f)
+    sols = list(space.iter_solutions())
+    assert 0 < len(sols) < 1 << 19
+    for vs in [(18, 18), (3, 18, 18, 17), (16, 2, 16), (0,), ()]:
+        expected = [0] * (1 << len(vs))
+        for a in sols:
+            expected[sum(((a >> v) & 1) << i for i, v in enumerate(vs))] += 1
+        assert space.counts_by_pattern(vs) == expected
 
 
 def test_space_counts_by_pattern_sums_to_count():
@@ -332,6 +358,14 @@ def test_sample_uniform_unsat_and_bad_method():
         sample_uniform(f, 1, "s")
     with pytest.raises(ValueError):
         sample_uniform(F(1, pos(0)), 1, "s", method="bogus")
+
+
+@pytest.mark.parametrize("method", ["enumerate", "rejection"])
+def test_sample_uniform_rejects_negative_T(method):
+    f = F(2, pos(0, 1))
+    with pytest.raises(ValueError, match="T must be >= 0"):
+        sample_uniform(f, -2, "s", method=method)
+    assert sample_uniform(f, 0, "s", method=method) == []
 
 
 def test_rejection_sampling_agrees_in_distribution():
