@@ -44,6 +44,7 @@ from .resilience import check_local_uniformity, resilience_theta
 from .reveal import RevealParams, estimate_nice_probability
 from .solutions import (
     DEFAULT_SOLUTION_CAP,
+    Space,
     enumerate_solutions,
     count_solutions,
     marginals,
@@ -458,8 +459,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_resilience(args):
-    formula = _read_formula(args.formula)
-    report = resilience_theta(formula, args.k, limit=args.limit)
+    space = Space(_read_formula(args.formula), limit=args.limit)
+    report = resilience_theta(space, args.k)
     payload = {
         "theta": _rat(report.theta),
         "zero_set_size": report.zero_set_size,
@@ -471,7 +472,7 @@ def _cmd_resilience(args):
         },
     }
     if args.t is not None:
-        lu = check_local_uniformity(formula, args.t, limit=args.limit)
+        lu = check_local_uniformity(space, args.t)
         payload["local_uniformity"] = {
             "max_marginal": _rat(lu.max_marginal),
             "bound": lu.bound,

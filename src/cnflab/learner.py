@@ -31,14 +31,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Clause, CnfFormula, LearnerInvariantError, UnsatisfiableError
+from .core import Clause, CnfFormula, LearnerInvariantError
 from .rand import SeededRng, derived_seed
 from .solutions import (
     Space,
     _pattern_counts,
+    _space,
     iter_ksubsets_colex,
     sample_uniform,
-    solution_bitmap,
     tv_distance,
 )
 
@@ -79,12 +79,11 @@ def _split_walk(columns, i, top, suffix, parts):
 
 
 def _columns(samples, n):
-    """The samples transposed: bit t of column v is samples[t]'s value of v."""
-    mask = (1 << n) - 1
+    """Samples in [0, 2^n) transposed: bit t of column v is samples[t]'s value of v."""
     width = "0%db" % n
     # the samples' binary strings, last sample first and highest variable
     # first, so every n-th character from offset n-1-v reads column v
-    rows = "".join([format(a & mask, width) for a in reversed(samples)])
+    rows = "".join([format(a, width) for a in reversed(samples)])
     return [int(rows[n - 1 - v :: n] or "0", 2) for v in range(n)]
 
 
@@ -95,9 +94,12 @@ def valiant_learn(n, k, samples) -> CnfFormula:
     rank then ascending pattern: the 2^k * C(n,k) candidate clauses minus
     those whose forbidden pattern appears among the samples on the clause's
     variable set, i.e. whose split-tree leaf is nonempty.  With zero samples
-    everything survives.
+    everything survives.  A sample outside [0, 2^n) raises ValueError.
     """
     samples = list(samples)
+    if samples and not 0 <= min(samples) <= max(samples) < 1 << n:
+        bad = next(a for a in samples if not 0 <= a < 1 << n)
+        raise ValueError("sample %d out of range [0, 2^%d)" % (bad, n))
     tree = _split_tree(n, k, _columns(samples, n), (1 << len(samples)) - 1)
     return CnfFormula(n, tuple(
         Clause(subset, pattern)
@@ -175,26 +177,22 @@ def exact_learning_trial(truth, k, T, seed, family="", report_tv=False, limit=No
     contains every sample and never exceeds the truth's solution set.
     """
     start = time.monotonic()
-    samples = sample_uniform(truth, T, seed, limit=limit)
-    learned = valiant_learn(truth.n, k, samples)
-    truth_bits = solution_bitmap(truth, limit=limit)
-    learned_bits = solution_bitmap(learned, limit=limit)
-    if learned_bits & ~truth_bits:
+    space = Space(truth, limit=limit)
+    samples = sample_uniform(space, T, seed)
+    learned = Space(valiant_learn(truth.n, k, samples), limit=limit)
+    if learned.bitmap & ~space.bitmap:
         raise LearnerInvariantError("learned solutions escaped the truth set")
-    if not all((learned_bits >> a) & 1 for a in samples):
+    if not all((learned.bitmap >> a) & 1 for a in samples):
         raise LearnerInvariantError("a sample violates a learned clause")
-    success = learned_bits == truth_bits
-    tv = None
-    if report_tv and learned_bits:
-        tv = tv_distance(truth, learned, limit=limit)
+    tv = tv_distance(space, learned) if report_tv and learned.count else None
     return TrialRecord(
         family=family,
         n=truth.n,
         k=k,
         T=T,
         seed=str(seed),
-        success=success,
-        learned_clause_count=len(learned.clauses),
+        success=learned.bitmap == space.bitmap,
+        learned_clause_count=len(learned.formula.clauses),
         wall_time_s=time.monotonic() - start,
         tv=tv,
     )
@@ -358,9 +356,7 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
             raise ValueError(
                 "support-mask sweep needs truth clause sizes <= k"
             )
-        space = Space(formula, limit=limit)
-        if space.count == 0:
-            raise UnsatisfiableError("sweep instance %r is unsatisfiable" % (family,))
+        space = _space(formula, limit, "sweep instance %r is unsatisfiable" % (family,))
         supported = sum(
             1
             for _, counts in _pattern_counts(formula.n, k, space.bitmap)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import Clause, CnfFormula, UnsatisfiableError, clause_status, SATISFIED
-from .solutions import Space, _pattern_counts, marginals
+from .core import Clause, CnfFormula, clause_status, SATISFIED
+from .solutions import _pattern_counts, _space, marginals
 from .structure import large_intersection_clauses
 
 
@@ -29,9 +29,9 @@ class ResilienceReport:
     solution_count: int
 
 
-def resilience_theta(formula: CnfFormula, k, limit=None) -> ResilienceReport:
+def resilience_theta(formula, k, limit=None) -> ResilienceReport:
     """Exact minimum nonzero forbidden-pattern probability over all size-k
-    clauses not present in the formula.
+    clauses not present in the formula (a formula or its Space).
 
     Exact duplicates of formula clauses are excluded from the candidate
     space; clauses on the same variable set with a different polarity are
@@ -41,15 +41,13 @@ def resilience_theta(formula: CnfFormula, k, limit=None) -> ResilienceReport:
     """
     if not 0 < k <= formula.n:
         raise ValueError("need 0 < k <= n")
-    space = Space(formula, limit=limit)
-    if space.count == 0:
-        raise UnsatisfiableError("resilience is undefined for an unsatisfiable formula")
-    own = {(c.vars, c.forbidden) for c in formula.clauses if not c.tautology}
+    space = _space(formula, limit, "resilience is undefined for an unsatisfiable formula")
+    own = {(c.vars, c.forbidden) for c in space.formula.clauses if not c.tautology}
     best = None
     best_clause = None
     zero = 0
     candidates = 0
-    for subset, counts in _pattern_counts(formula.n, k, space.bitmap):
+    for subset, counts in _pattern_counts(space.n, k, space.bitmap):
         for pattern, cnt in enumerate(counts):
             if (subset, pattern) in own:
                 continue
@@ -80,8 +78,9 @@ class LocalUniformityReport(NamedTuple):
     max_variable: int
 
 
-def check_local_uniformity(formula: CnfFormula, t, limit=None) -> LocalUniformityReport:
-    """Exact max single-variable marginal versus the (1/2) e^(1/t) bound.
+def check_local_uniformity(formula, t, limit=None) -> LocalUniformityReport:
+    """Exact max single-variable marginal versus the (1/2) e^(1/t) bound,
+    for a formula or its Space.
 
     condition_holds reports whether the bound's hypothesis 2^k_min >=
     2e * d_max * t with t >= k_max is met; the comparison is computed and
@@ -89,8 +88,9 @@ def check_local_uniformity(formula: CnfFormula, t, limit=None) -> LocalUniformit
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    probs = marginals(formula, limit=limit)
-    params = formula.params
+    space = _space(formula, limit)
+    probs = marginals(space)
+    params = space.formula.params
     condition = (
         2 ** params.k_min >= 2 * math.e * params.d_max * t and t >= params.k_max
     )
@@ -101,7 +101,7 @@ def check_local_uniformity(formula: CnfFormula, t, limit=None) -> LocalUniformit
         if m > best:
             best = m
             best_var = v
-    if formula.n == 0:
+    if space.n == 0:
         best = Fraction(1, 2)
     bound = 0.5 * math.exp(1 / t)
     return LocalUniformityReport(

@@ -25,11 +25,10 @@ from .core import (
     CnfError,
     InfeasiblePinningError,
     SATISFIED,
-    UnsatisfiableError,
     clause_status,
 )
 from .rand import SeededRng
-from .solutions import Space
+from .solutions import _UNSAT, _space
 from .structure import BadSets, identify_bad, modified_bad_sets, var_to_clauses
 
 
@@ -482,10 +481,7 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    space = Space(formula, limit=limit)
-    if space.count == 0:
-        raise UnsatisfiableError("formula is unsatisfiable")
-    space = space.restrict(prefix)
+    space = _space(formula, limit, _UNSAT).restrict(prefix)
     if space.count == 0:
         raise InfeasiblePinningError("no solution agrees with the prefix")
     _, early, c0, start = _start(formula, target, prefix, params)

@@ -80,28 +80,24 @@ def colex_rank(subset) -> int:
     return sum(math.comb(s, i + 1) for i, s in enumerate(subset))
 
 
-def _check_limit(n, limit):
-    lim = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-    if n > lim:
-        raise EnumerationLimitError(
-            "n=%d exceeds the enumeration limit %d" % (n, lim)
-        )
-
-
 def _cylinder(nbits, vs, pattern: int) -> int:
     """Bitmap over 2^nbits assignments of those whose values on the variable
     tuple `vs` spell `pattern` (bit i is the value of vs[i]).
 
-    Raises ValueError for a variable outside [0, nbits) before allocating.
+    A pattern giving a repeated variable two values matches nothing; a
+    variable outside [0, nbits) raises ValueError before allocating.
     """
-    base = 0
-    in_set = 0
+    base = zeros = 0
     for i, v in enumerate(vs):
         if not 0 <= v < nbits:
             raise ValueError("variable %d out of range [0, %d)" % (v, nbits))
-        in_set |= 1 << v
         if (pattern >> i) & 1:
             base |= 1 << v
+        else:
+            zeros |= 1 << v
+    if base & zeros:
+        return 0
+    in_set = base | zeros
     # doubling along the free variables below the lowest one in `vs` turns
     # the single assignment `base` into one run of ones
     lowest = (in_set & -in_set).bit_length() - 1 if in_set else nbits
@@ -165,7 +161,11 @@ def _bitmap(nbits, clauses) -> int:
 
 def solution_bitmap(formula: CnfFormula, limit=None) -> int:
     """The formula's full solution bitmap."""
-    _check_limit(formula.n, limit)
+    lim = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
+    if formula.n > lim:
+        raise EnumerationLimitError(
+            "n=%d exceeds the enumeration limit %d" % (formula.n, lim)
+        )
     return _bitmap(formula.n, formula.clauses)
 
 
@@ -351,6 +351,20 @@ class Space:
                 chunk ^= low_bit
 
 
+_UNSAT = "formula is unsatisfiable"
+
+
+def _space(formula, limit=None, unsat=None) -> Space:
+    """The solution space of a formula, or the argument itself if it is
+    already a Space; a Space was built under its own limit, so `limit` is
+    ignored for it.  With `unsat` given, an empty space raises
+    UnsatisfiableError with that message."""
+    space = formula if isinstance(formula, Space) else Space(formula, limit=limit)
+    if unsat is not None and space.count == 0:
+        raise UnsatisfiableError(unsat)
+    return space
+
+
 @dataclass(frozen=True)
 class SolutionSet:
     formula: CnfFormula
@@ -364,16 +378,16 @@ def enumerate_solutions(formula, cap=DEFAULT_SOLUTION_CAP, limit=None) -> Soluti
     An unsatisfiable formula yields an empty set (not an error); exceeding
     `cap` raises SolutionCapError before materializing.
     """
-    space = Space(formula, limit=limit)
+    space = _space(formula, limit)
     if cap is not None and space.count > cap:
         raise SolutionCapError(
             "%d solutions exceed the cap %d" % (space.count, cap)
         )
-    return SolutionSet(formula, tuple(space.iter_solutions()), space.count)
+    return SolutionSet(space.formula, tuple(space.iter_solutions()), space.count)
 
 
 def count_solutions(formula, limit=None) -> int:
-    return Space(formula, limit=limit).count
+    return _space(formula, limit).count
 
 
 def sample_uniform(formula, T, seed, limit=None, method="enumerate", reject_budget=None):
@@ -389,6 +403,7 @@ def sample_uniform(formula, T, seed, limit=None, method="enumerate", reject_budg
         raise ValueError("T must be >= 0, got %d" % T)
     rng = SeededRng(seed)
     if method == "rejection":
+        formula = formula.formula if isinstance(formula, Space) else formula
         budget = 10_000 * T if reject_budget is None else reject_budget
         out = []
         for _ in range(T):
@@ -405,31 +420,22 @@ def sample_uniform(formula, T, seed, limit=None, method="enumerate", reject_budg
         return out
     if method != "enumerate":
         raise ValueError("unknown sampling method %r" % (method,))
-    space = Space(formula, limit=limit)
-    if space.count == 0:
-        raise UnsatisfiableError("cannot sample from an unsatisfiable formula")
+    space = _space(formula, limit, "cannot sample from an unsatisfiable formula")
     return [space.select(rng.randbelow(space.count)) for _ in range(T)]
-
-
-def _space_checked(formula, limit):
-    space = Space(formula, limit=limit)
-    if space.count == 0:
-        raise UnsatisfiableError("formula is unsatisfiable")
-    return space
 
 
 def marginals(formula, limit=None):
     """Pr[X(v) = True] for every variable, as exact fractions: the
     all-True counts of the single variables."""
-    space = _space_checked(formula, limit)
-    ones = _all_true_counts(formula.n, space.bitmap, range(formula.n), 1)
-    return [Fraction(ones.get(1 << v, 0), space.count) for v in range(formula.n)]
+    space = _space(formula, limit, _UNSAT)
+    ones = _all_true_counts(space.n, space.bitmap, range(space.n), 1)
+    return [Fraction(ones.get(1 << v, 0), space.count) for v in range(space.n)]
 
 
 def conditional_prob(formula, condition, event, limit=None) -> Fraction:
     """Exact Pr[X agrees with event | X agrees with condition] under the
     uniform solution distribution."""
-    base = _space_checked(formula, limit).restrict(condition)
+    base = _space(formula, limit, _UNSAT).restrict(condition)
     if base.count == 0:
         raise InfeasiblePinningError("conditioning event has zero mass")
     return Fraction(base.restrict(event).count, base.count)
@@ -440,18 +446,18 @@ def forbidden_pattern_prob(formula, cstar: Clause, limit=None) -> Fraction:
     assignment on vbl(cstar)."""
     if cstar.tautology:
         raise ValueError("a tautological clause has no forbidden pattern")
-    space = _space_checked(formula, limit)
+    space = _space(formula, limit, _UNSAT)
     hits = space.count_matching(cstar.vars, cstar.forbidden)
     return Fraction(hits, space.count)
 
 
-def tv_distance(a: CnfFormula, b: CnfFormula, limit=None) -> Fraction:
+def tv_distance(a, b, limit=None) -> Fraction:
     """Exact total variation distance between the two uniform solution
     distributions."""
     if a.n != b.n:
         raise ValueError("variable counts differ: %d vs %d" % (a.n, b.n))
-    sa = _space_checked(a, limit)
-    sb = _space_checked(b, limit)
+    sa = _space(a, limit, _UNSAT)
+    sb = _space(b, limit, _UNSAT)
     na, nb = sa.count, sb.count
     inter = (sa.bitmap & sb.bitmap).bit_count()
     total = (
@@ -467,7 +473,7 @@ def correlation_dC(formula, u, v, limit=None) -> Fraction:
     |Pr[X(u)=x, X(v)=y] - Pr[X(u)=x] Pr[X(v)=y]|.  Zero iff u, v independent."""
     if u == v:
         raise ValueError("need two distinct variables")
-    space = _space_checked(formula, limit)
+    space = _space(formula, limit, _UNSAT)
     total = space.count
     joint = space.counts_by_pattern((u, v))  # bit 0 is X(u), bit 1 is X(v)
     pu = (joint[0] + joint[2], joint[1] + joint[3])
@@ -478,11 +484,11 @@ def correlation_dC(formula, u, v, limit=None) -> Fraction:
     )
 
 
-def equivalent(a: CnfFormula, b: CnfFormula, limit=None) -> bool:
+def equivalent(a, b, limit=None) -> bool:
     """True iff the two formulas have the same solution set."""
     if a.n != b.n:
         raise ValueError("variable counts differ: %d vs %d" % (a.n, b.n))
-    return solution_bitmap(a, limit=limit) == solution_bitmap(b, limit=limit)
+    return _space(a, limit).bitmap == _space(b, limit).bitmap
 
 
 @dataclass(frozen=True)

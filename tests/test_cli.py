@@ -20,7 +20,7 @@ from cnflab import (
 )
 from cnflab.cli import ExperimentConfig, run, validate_config
 
-from util import F, pos
+from util import F, count_bitmap_builds, pos
 
 
 def invoke(capsys, *argv):
@@ -180,6 +180,14 @@ def test_resilience_payload(tmp_path, capsys):
     with_t = invoke_json(capsys, "resilience", path, "--k", "3", "--t", "7")
     lu = with_t["payload"]["local_uniformity"]
     assert set(lu) == {"max_marginal", "bound", "holds", "condition_holds"}
+
+
+def test_resilience_with_local_uniformity_builds_one_bitmap(tmp_path, capsys, monkeypatch):
+    path = formula_file(tmp_path, "d9.cnf", gen_disjoint_family(3, 9, "builds"))
+    builds = count_bitmap_builds(monkeypatch)
+    result = invoke_json(capsys, "resilience", path, "--k", "3", "--t", "3")
+    assert builds == [9]
+    assert "local_uniformity" in result["payload"]
 
 
 def test_props_battery_on_disjoint_family(tmp_path, capsys):

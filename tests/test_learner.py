@@ -42,7 +42,7 @@ from cnflab.solutions import (
     solution_bitmap,
 )
 
-from util import F, bits, pos
+from util import F, bits, count_bitmap_builds, pos
 
 
 def oracle_learn(n, k, samples):
@@ -486,3 +486,25 @@ def test_sweep_edge_cases():
     assert [r.successes for r in empty_width.rows] == [0, 2]
     with pytest.raises(ValueError):
         sample_complexity_sweep([("d", truth)], 5, [5], trials=2, seed_base="e")
+
+
+@pytest.mark.parametrize("bad", [8, -1])
+def test_valiant_rejects_samples_outside_the_space(bad):
+    with pytest.raises(ValueError, match="sample %d out of range" % bad):
+        valiant_learn(3, 2, [0b101, bad, 0b011])
+    with pytest.raises(ValueError, match="sample %d out of range" % bad):
+        valiant_learn(3, 2, [bad, 9, -2])
+    learned = valiant_learn(3, 2, [0, 7])  # both ends of the range
+    assert learned.satisfied_by(0) and learned.satisfied_by(7)
+
+
+@pytest.mark.parametrize("report_tv", [False, True])
+def test_exact_learning_trial_builds_two_bitmaps(monkeypatch, report_tv):
+    # the truth's bitmap serves sampling, the invariants and the TV
+    # distance; the learned formula's is built once
+    truth = gen_disjoint_family(3, 12, "builds")
+    builds = count_bitmap_builds(monkeypatch)
+    record = exact_learning_trial(truth, 3, 20, "builds", report_tv=report_tv)
+    assert builds == [12, 12]
+    assert (record.tv is not None) == report_tv
+    assert not record.success

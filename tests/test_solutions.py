@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cnflab import (
     Clause,
+    CnfError,
     CnfFormula,
     EnumerationLimitError,
     GadgetSpec,
@@ -16,6 +17,7 @@ from cnflab import (
     SolutionCapError,
     Space,
     UnsatisfiableError,
+    check_local_uniformity,
     conditional_prob,
     correlation_dC,
     count_solutions,
@@ -27,6 +29,7 @@ from cnflab import (
     gen_gadget,
     gen_random_cnf,
     marginals,
+    resilience_theta,
     sample_uniform,
     tv_distance,
     verify_gadget_counts,
@@ -77,6 +80,13 @@ def test_enumeration_limit_guard():
         count_solutions(f)
     # explicit override admits it (cheap: no clauses)
     assert count_solutions(f, limit=31) == 1 << 31
+
+
+def test_a_space_keeps_the_limit_it_was_built_under():
+    f = CnfFormula(12, ())
+    with pytest.raises(EnumerationLimitError):
+        marginals(f, limit=5)
+    assert marginals(Space(f), limit=5) == [Fraction(1, 2)] * 12
 
 
 def _plain(clauses):
@@ -150,6 +160,27 @@ def test_count_matching_matches_definition(case, seed):
     pattern = sum(1 << i for i, v in enumerate(vs) if pinning[v])
     expected = sum(1 for a in range(1 << n) if f.satisfied_by(a) and _agrees(a, pinning))
     assert space.count_matching(vs, pattern) == expected
+
+
+def test_count_matching_is_zero_when_a_repeated_variable_takes_two_values():
+    space = Space(CnfFormula(3, ()))
+    assert space.counts_by_pattern((1, 1)) == [4, 0, 0, 4]
+    assert [space.count_matching((1, 1), b) for b in range(4)] == [4, 0, 0, 4]
+    assert space.count_matching((2, 0, 2), 0b101) == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, n - 1), max_size=5),
+    st.integers(0, 2**32 - 1),
+)))
+def test_count_matching_agrees_with_counts_by_pattern_on_repeats(case):
+    n, vs, seed = case
+    f = gen_random_cnf(RandomCnfSpec(2, n, 1.0, seed))
+    space = Space(f)
+    counts = space.counts_by_pattern(tuple(vs))
+    assert [space.count_matching(tuple(vs), b) for b in range(1 << len(vs))] == counts
 
 
 def test_out_of_range_variables_raise():
@@ -482,3 +513,49 @@ def test_tautologies_do_not_constrain():
     f = CnfFormula(3, (taut, Clause.from_literals(pos(1, 2))))
     g = F(3, pos(1, 2))
     assert equivalent(f, g)
+
+
+# Every exact query, as a function of the formula (or its Space) and a
+# second formula (or its Space) over the same variables.
+_QUERIES = {
+    "count": lambda x, y: count_solutions(x),
+    "enumerate": lambda x, y: enumerate_solutions(x),
+    "sample": lambda x, y: sample_uniform(x, 20, "same"),
+    "sample-rejection": lambda x, y: sample_uniform(
+        x, 5, "same", method="rejection", reject_budget=2000),
+    "marginals": lambda x, y: marginals(x),
+    "conditional": lambda x, y: conditional_prob(x, {0: True}, {x.n - 1: False}),
+    "forbidden": lambda x, y: forbidden_pattern_prob(x, Clause((0, x.n - 1), 0b10)),
+    "tv": lambda x, y: tv_distance(x, y),
+    "correlation": lambda x, y: correlation_dC(x, 0, x.n - 1),
+    "equivalent": lambda x, y: equivalent(x, y),
+    "resilience": lambda x, y: resilience_theta(x, min(2, x.n)),
+    "local-uniformity": lambda x, y: check_local_uniformity(x, 3),
+}
+
+_SAME_ANSWER_FORMULAS = {
+    "random-3cnf": gen_random_cnf(RandomCnfSpec(3, 10, 2.0, "same")),
+    "disjoint-18": gen_disjoint_family(3, 18, "same"),
+    "gadget": gen_gadget(GadgetSpec(3, 2, restricted=True)),
+    "unsat": F(2, pos(0), neg(0)),
+    "n0": CnfFormula(0, ()),
+    "n0-unsat": F(0, []),
+}
+
+
+def _answer(query, x, y):
+    try:
+        return query(x, y)
+    except (CnfError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("formula", _SAME_ANSWER_FORMULAS.values(),
+                         ids=_SAME_ANSWER_FORMULAS.keys())
+@pytest.mark.parametrize("query", _QUERIES.values(), ids=_QUERIES.keys())
+def test_queries_answer_the_same_for_a_formula_and_its_space(query, formula):
+    other = CnfFormula(formula.n, formula.clauses[1:])
+    expected = _answer(query, formula, other)
+    assert _answer(query, Space(formula), Space(other)) == expected
+    assert _answer(query, Space(formula), other) == expected
+    assert _answer(query, formula, Space(other)) == expected

@@ -1,6 +1,6 @@
 """Small shared helpers for building formulas and talking to the naive oracle."""
 
-from cnflab import Clause, CnfFormula
+from cnflab import Clause, CnfFormula, solutions
 
 
 def F(n, *clauses):
@@ -46,3 +46,17 @@ def from_bits(values):
         if x:
             a |= 1 << v
     return a
+
+
+def count_bitmap_builds(monkeypatch):
+    """Record the variable count of every solution bitmap built from here on
+    (each call of solutions._bitmap); returns the growing list."""
+    builds = []
+    build = solutions._bitmap
+
+    def counting(nbits, clauses):
+        builds.append(nbits)
+        return build(nbits, clauses)
+
+    monkeypatch.setattr(solutions, "_bitmap", counting)
+    return builds
