@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -82,202 +83,181 @@ def _assignment_str(assignment: int, n: int) -> str:
     return "".join("1" if (assignment >> v) & 1 else "0" for v in range(n))
 
 
+def _payload(record, **override):
+    """A result dataclass as a JSON object, field by field, with Fractions
+    written as _rat; `override` gives the fields that need another form."""
+    out = {f.name: getattr(record, f.name) for f in fields(record)}
+    out = {key: _rat(v) if isinstance(v, Fraction) else v for key, v in out.items()}
+    return {**out, **override}
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An integer or a finite float: Infinity and NaN are not numbers here."""
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
-def _is_seed(v) -> bool:
-    return _is_int(v) or (isinstance(v, str) and v != "")
+# A field check maps (JSON path, value) to a list of error strings.
+def _field(pred, must):
+    return lambda path, v: [] if pred(v) else ["%s: %s" % (path, must)]
 
 
-# Per-family parameter schema: name -> (predicate, required, description).
-_POSINT = (lambda v: _is_int(v) and v > 0, "a positive integer")
-_NONNEG = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
-_POSNUM = (lambda v: _is_num(v) and v > 0, "a positive number")
-_SEED = (_is_seed, "an integer or non-empty string")
-_BOOL = (lambda v: isinstance(v, bool), "a boolean")
+_POSINT = _field(lambda v: _is_int(v) and v > 0, "must be a positive integer")
+_NONNEG = _field(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
+_POSNUM = _field(lambda v: _is_num(v) and v > 0, "must be a positive number")
+_SEED = _field(
+    lambda v: _is_int(v) or (isinstance(v, str) and v != ""),
+    "must be an integer or non-empty string",
+)
+_BOOL = _field(lambda v: isinstance(v, bool), "must be a boolean")
+_PROBABILITY = _field(
+    lambda v: _is_num(v) and 0 < v < 1, "must lie strictly between 0 and 1"
+)
+_PATH = _field(lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
+_LABEL = _field(lambda v: isinstance(v, str), "must be a string")
 
-_FAMILY_SCHEMAS = {
-    "disjoint": {"k": (_POSINT, True), "n": (_POSINT, True), "seed": (_SEED, True)},
-    "gadget": {
-        "k": (_POSINT, True),
-        "ell": (_POSINT, True),
-        "restricted": (_BOOL, False),
-    },
-    "hard": {
-        "k": (_POSINT, True),
-        "ell": (_POSINT, True),
-        "m": (_POSINT, True),
-        "index": (_NONNEG, True),
-    },
-    "random": {
-        "k": (_POSINT, True),
-        "n": (_POSINT, True),
-        "alpha": (_POSNUM, True),
-        "seed": (_SEED, True),
-    },
-    "linear": {
-        "k": (_POSINT, True),
-        "d": (_POSINT, True),
-        "n": (_POSINT, True),
-        "seed": (_SEED, True),
-        "m": (_POSINT, False),
-        "reject_budget": (_POSINT, False),
-    },
-    "counterexample": {"k": (_POSINT, True)},
+
+def _list_of(item):
+    """Field check of a non-empty list whose entries pass `item`."""
+    def check(path, v):
+        if not isinstance(v, list) or not v:
+            return ["%s: must be a non-empty list" % path]
+        return [e for i, x in enumerate(v) for e in item("%s[%d]" % (path, i), x)]
+    return check
+
+
+def _prefix(path, v):
+    if not isinstance(v, dict):
+        return ["%s: must map variable indices to booleans" % path]
+    errors = []
+    for key, value in v.items():
+        if not (isinstance(key, str) and key.isdecimal()):
+            errors.append("%s.%s: key must be a decimal variable index" % (path, key))
+        if not isinstance(value, bool):
+            errors.append("%s.%s: value must be a boolean" % (path, key))
+    return errors
+
+
+# A schema maps each key to (field check, the error for a missing key, or
+# None when the key is optional).
+_REQUIRED = "required"
+_SEEDED = "required (seeds are never implicit)"
+
+
+def _validate(path, data, schema):
+    """Errors (with JSON paths) of an object against a schema: its unknown
+    keys first, then each schema key in table order."""
+    errors = ["%s.%s: unknown key" % (path, key) for key in data if key not in schema]
+    for key, (check, missing) in schema.items():
+        if key in data:
+            errors += check("%s.%s" % (path, key), data[key])
+        elif missing:
+            errors.append("%s.%s: %s" % (path, key, missing))
+    return errors
+
+
+# Each formula family: its generator, called with the spec's parameters as
+# keywords, and its parameter schema.  The `generate` flags come from here.
+_FAMILIES = {
+    "disjoint": (gen_disjoint_family, {
+        "k": (_POSINT, _REQUIRED),
+        "n": (_POSINT, _REQUIRED),
+        "seed": (_SEED, _REQUIRED),
+    }),
+    "gadget": (lambda **p: gen_gadget(GadgetSpec(**p)), {
+        "k": (_POSINT, _REQUIRED),
+        "ell": (_POSINT, _REQUIRED),
+        "restricted": (_BOOL, None),
+    }),
+    "hard": (lambda **p: gen_hard_family(HardFamilySpec(**p)), {
+        "k": (_POSINT, _REQUIRED),
+        "ell": (_POSINT, _REQUIRED),
+        "m": (_POSINT, _REQUIRED),
+        "index": (_NONNEG, _REQUIRED),
+    }),
+    "random": (lambda **p: gen_random_cnf(RandomCnfSpec(**p)), {
+        "k": (_POSINT, _REQUIRED),
+        "n": (_POSINT, _REQUIRED),
+        "alpha": (_POSNUM, _REQUIRED),
+        "seed": (_SEED, _REQUIRED),
+    }),
+    "linear": (gen_linear_cnf, {
+        "k": (_POSINT, _REQUIRED),
+        "d": (_POSINT, _REQUIRED),
+        "n": (_POSINT, _REQUIRED),
+        "seed": (_SEED, _REQUIRED),
+        "m": (_POSINT, None),
+        "reject_budget": (_POSINT, None),
+    }),
+    "counterexample": (gen_counterexample, {"k": (_POSINT, _REQUIRED)}),
+}
+_SPEC_KEYS = {
+    "family": (lambda path, v: [], None),  # checked before the schema is known
+    "label": (_LABEL, None),
+}
+
+# One `generate` flag per family parameter, typed by its field check.
+_GENERATE_FLAGS = {
+    key: check for _, params in _FAMILIES.values() for key, (check, _) in params.items()
+}
+_FLAG_KWARGS = {
+    _POSINT: {"type": int},
+    _NONNEG: {"type": int},
+    _POSNUM: {"type": float},
+    _SEED: {},
+    _BOOL: {"action": "store_true"},
 }
 
 
 def validate_family_spec(path, spec):
     """Errors (with JSON paths) for one formula-family description."""
-    errors = []
     if not isinstance(spec, dict):
         return ["%s: must be an object" % path]
     family = spec.get("family")
-    if family not in _FAMILY_SCHEMAS:
-        return [
-            "%s.family: must be one of %s"
-            % (path, ", ".join(sorted(_FAMILY_SCHEMAS)))
-        ]
-    schema = _FAMILY_SCHEMAS[family]
-    for key in spec:
-        if key not in schema and key not in ("family", "label"):
-            errors.append("%s.%s: unknown key" % (path, key))
-    if "label" in spec and not isinstance(spec["label"], str):
-        errors.append("%s.label: must be a string" % path)
-    for key, ((pred, desc), required) in schema.items():
-        if key not in spec:
-            if required:
-                errors.append("%s.%s: required" % (path, key))
-        elif not pred(spec[key]):
-            errors.append("%s.%s: must be %s" % (path, key, desc))
-    return errors
+    if family not in _FAMILIES:
+        return ["%s.family: must be one of %s" % (path, ", ".join(sorted(_FAMILIES)))]
+    return _validate(path, spec, {**_SPEC_KEYS, **_FAMILIES[family][1]})
 
 
 def build_family(spec):
     """(label, formula) from a validated family description."""
     family = spec["family"]
-    label = spec.get("label", family)
-    if family == "disjoint":
-        f = gen_disjoint_family(spec["k"], spec["n"], spec["seed"])
-    elif family == "gadget":
-        f = gen_gadget(
-            GadgetSpec(spec["k"], spec["ell"], bool(spec.get("restricted", False)))
-        )
-    elif family == "hard":
-        f = gen_hard_family(
-            HardFamilySpec(spec["k"], spec["ell"], spec["m"], spec["index"])
-        )
-    elif family == "random":
-        f = gen_random_cnf(
-            RandomCnfSpec(spec["k"], spec["n"], spec["alpha"], spec["seed"])
-        )
-    elif family == "linear":
-        f = gen_linear_cnf(
-            spec["k"], spec["d"], spec["n"], spec["seed"],
-            m=spec.get("m"), reject_budget=spec.get("reject_budget"),
-        )
-    elif family == "counterexample":
-        f = gen_counterexample(spec["k"])
-    else:
+    if family not in _FAMILIES:
         raise ValueError("unknown family %r" % (family,))
-    return label, f
+    make, params = _FAMILIES[family]
+    formula = make(**{key: spec[key] for key in params if key in spec})
+    return spec.get("label", family), formula
 
 
-_SWEEP_KEYS = {
-    "instances", "k", "t_grid", "trials", "delta", "seed_base", "out_csv", "limit",
+_CONFIG_SCHEMAS = {
+    "sweep": {
+        "seed_base": (_SEED, _SEEDED),
+        "k": (_POSINT, _REQUIRED),
+        "t_grid": (_list_of(_POSINT), _REQUIRED),
+        "instances": (_list_of(validate_family_spec), _REQUIRED),
+        "trials": (_POSINT, None),
+        "delta": (_PROBABILITY, None),
+        "out_csv": (_PATH, _REQUIRED),
+        "limit": (_POSINT, None),
+    },
+    "reveal-sim": {
+        "target": (_NONNEG, _REQUIRED),
+        "seed": (_SEED, _SEEDED),
+        "trials": (_POSINT, _REQUIRED),
+        "alpha": (_POSNUM, _REQUIRED),
+        "p_hd": (_POSNUM, _REQUIRED),
+        "eps_bd": (_POSNUM, _REQUIRED),
+        "zeta": (_POSNUM, _REQUIRED),
+        "prefix": (_prefix, None),
+        "k": (_POSINT, None),
+        "target_value": (_BOOL, None),
+        "limit": (_POSINT, None),
+        "traces": (_NONNEG, None),
+    },
 }
-_REVEAL_KEYS = {
-    "target", "prefix", "trials", "seed", "alpha", "p_hd", "eps_bd", "zeta",
-    "k", "target_value", "limit", "traces",
-}
-
-
-def _validate_sweep(data):
-    errors = []
-    for key in data:
-        if key not in _SWEEP_KEYS:
-            errors.append("$.%s: unknown key" % key)
-    if "seed_base" not in data:
-        errors.append("$.seed_base: required (seeds are never implicit)")
-    elif not _is_seed(data["seed_base"]):
-        errors.append("$.seed_base: must be an integer or non-empty string")
-    if "k" not in data:
-        errors.append("$.k: required")
-    elif not (_is_int(data["k"]) and data["k"] > 0):
-        errors.append("$.k: must be a positive integer")
-    if "t_grid" not in data:
-        errors.append("$.t_grid: required")
-    elif not isinstance(data["t_grid"], list) or not data["t_grid"]:
-        errors.append("$.t_grid: must be a non-empty list")
-    else:
-        for i, t in enumerate(data["t_grid"]):
-            if not (_is_int(t) and t > 0):
-                errors.append("$.t_grid[%d]: must be a positive integer" % i)
-    if "instances" not in data:
-        errors.append("$.instances: required")
-    elif not isinstance(data["instances"], list) or not data["instances"]:
-        errors.append("$.instances: must be a non-empty list")
-    else:
-        for i, spec in enumerate(data["instances"]):
-            errors.extend(validate_family_spec("$.instances[%d]" % i, spec))
-    if "trials" in data and not (_is_int(data["trials"]) and data["trials"] > 0):
-        errors.append("$.trials: must be a positive integer")
-    if "delta" in data and not (_is_num(data["delta"]) and 0 < data["delta"] < 1):
-        errors.append("$.delta: must lie strictly between 0 and 1")
-    if "out_csv" not in data:
-        errors.append("$.out_csv: required")
-    elif not isinstance(data["out_csv"], str) or not data["out_csv"]:
-        errors.append("$.out_csv: must be a non-empty string")
-    if "limit" in data and not (_is_int(data["limit"]) and data["limit"] > 0):
-        errors.append("$.limit: must be a positive integer")
-    return errors
-
-
-def _validate_reveal_sim(data):
-    errors = []
-    for key in data:
-        if key not in _REVEAL_KEYS:
-            errors.append("$.%s: unknown key" % key)
-    if "target" not in data:
-        errors.append("$.target: required")
-    elif not (_is_int(data["target"]) and data["target"] >= 0):
-        errors.append("$.target: must be a non-negative integer")
-    if "seed" not in data:
-        errors.append("$.seed: required (seeds are never implicit)")
-    elif not _is_seed(data["seed"]):
-        errors.append("$.seed: must be an integer or non-empty string")
-    if "trials" not in data:
-        errors.append("$.trials: required")
-    elif not (_is_int(data["trials"]) and data["trials"] > 0):
-        errors.append("$.trials: must be a positive integer")
-    for key in ("alpha", "p_hd", "eps_bd", "zeta"):
-        if key not in data:
-            errors.append("$.%s: required" % key)
-        elif not (_is_num(data[key]) and data[key] > 0):
-            errors.append("$.%s: must be a positive number" % key)
-    if "prefix" in data:
-        if not isinstance(data["prefix"], dict):
-            errors.append("$.prefix: must map variable indices to booleans")
-        else:
-            for key, value in data["prefix"].items():
-                if not (isinstance(key, str) and key.isdigit()):
-                    errors.append("$.prefix.%s: key must be a decimal variable index" % key)
-                if not isinstance(value, bool):
-                    errors.append("$.prefix.%s: value must be a boolean" % key)
-    if "k" in data and not (_is_int(data["k"]) and data["k"] > 0):
-        errors.append("$.k: must be a positive integer")
-    if "target_value" in data and not isinstance(data["target_value"], bool):
-        errors.append("$.target_value: must be a boolean")
-    if "limit" in data and not (_is_int(data["limit"]) and data["limit"] > 0):
-        errors.append("$.limit: must be a positive integer")
-    if "traces" in data and not (_is_int(data["traces"]) and data["traces"] >= 0):
-        errors.append("$.traces: must be a non-negative integer")
-    return errors
 
 
 def validate_config(data, command="sweep"):
@@ -288,15 +268,10 @@ def validate_config(data, command="sweep"):
     """
     if not isinstance(data, dict):
         return ["$: config must be a JSON object"]
-    if command == "sweep":
-        errors = _validate_sweep(data)
-    elif command == "reveal-sim":
-        errors = _validate_reveal_sim(data)
-    else:
+    if command not in _CONFIG_SCHEMAS:
         return ["$: unknown config command %r" % (command,)]
-    if errors:
-        return errors
-    return ExperimentConfig(command=command, values=dict(data))
+    errors = _validate("$", data, _CONFIG_SCHEMAS[command])
+    return errors or ExperimentConfig(command=command, values=dict(data))
 
 
 def _read_config(path, command):
@@ -323,13 +298,11 @@ def _read_formula(path):
     return parse_dimacs(text)
 
 
-def _flag_config(args, skip=("command", "func")):
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or key.startswith("_") or value is None:
-            continue
-        config[key] = value
-    return config
+def _flag_config(args):
+    return {
+        key: value for key, value in sorted(vars(args).items())
+        if value is not None and key not in ("command", "func") and not key.startswith("_")
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +312,21 @@ def _flag_config(args, skip=("command", "func")):
 
 def _cmd_generate(args):
     spec = {"family": args.family}
-    for key in ("k", "n", "ell", "m", "index", "d", "alpha", "seed", "reject_budget"):
+    for key in _GENERATE_FLAGS:
         value = getattr(args, key)
-        if value is not None:
+        if value is not None and value is not False:  # False: an absent switch
             spec[key] = value
-    if args.restricted:
-        spec["restricted"] = True
     errors = validate_family_spec("$", spec)
     if errors:
         raise ConfigUsageError(errors)
     label, formula = build_family(spec)
     Path(args.out).write_text(write_dimacs(formula))
-    params = formula.params
     payload = {
         "dimacs": args.out,
         "label": label,
         "n": formula.n,
         "clauses": len(formula.clauses),
-        "kds": {
-            "k_min": params.k_min,
-            "k_max": params.k_max,
-            "d_max": params.d_max,
-            "s_max": params.s_max,
-        },
+        "kds": formula.params._asdict(),
     }
     return _flag_config(args), payload, args.out + ".json"
 
@@ -417,34 +382,18 @@ def _cmd_learn(args):
         formula, args.k, args.t, args.seed,
         family=args.family, report_tv=args.report_tv, limit=args.limit,
     )
-    payload = {
-        "family": record.family,
-        "n": record.n,
-        "k": record.k,
-        "T": record.T,
-        "seed": record.seed,
-        "success": record.success,
-        "learned_clause_count": record.learned_clause_count,
-        "wall_time_s": record.wall_time_s,
-        "tv": None if record.tv is None else _rat(record.tv),
-    }
-    return _flag_config(args), payload
+    return _flag_config(args), _payload(record)
 
 
 def _cmd_sweep(args):
     values = _read_config(args.config, "sweep")
     instances = [build_family(spec) for spec in values["instances"]]
     result = sample_complexity_sweep(
-        instances,
-        values["k"],
-        values["t_grid"],
-        trials=values.get("trials", 200),
-        delta=values.get("delta", 0.1),
-        seed_base=values["seed_base"],
+        instances, values["k"], values["t_grid"], trials=values.get("trials", 200),
+        delta=values.get("delta", 0.1), seed_base=values["seed_base"],
         limit=values.get("limit"),
     )
-    csv_text = result.to_csv()
-    Path(values["out_csv"]).write_text(csv_text)
+    Path(values["out_csv"]).write_text(result.to_csv())
     t_star = {
         "%s:%d" % (family, n): t for (family, n), t in sorted(result.t_star.items())
     }
@@ -452,8 +401,8 @@ def _cmd_sweep(args):
         "csv": values["out_csv"],
         "rows": len(result.rows),
         "t_star": t_star,
-        "delta": values.get("delta", 0.1),
-        "trials": values.get("trials", 200),
+        "delta": result.delta,
+        "trials": result.trials,
     }
     return dict(values), payload
 
@@ -461,16 +410,10 @@ def _cmd_sweep(args):
 def _cmd_resilience(args):
     space = Space(_read_formula(args.formula), limit=args.limit)
     report = resilience_theta(space, args.k)
-    payload = {
-        "theta": _rat(report.theta),
-        "zero_set_size": report.zero_set_size,
-        "candidates": report.candidates,
-        "solution_count": report.solution_count,
-        "argmin": {
-            "vars": list(report.argmin.vars),
-            "forbidden_pattern": report.argmin.forbidden,
-        },
-    }
+    argmin = report.argmin
+    payload = _payload(
+        report, argmin={"vars": list(argmin.vars), "forbidden_pattern": argmin.forbidden}
+    )
     if args.t is not None:
         lu = check_local_uniformity(space, args.t)
         payload["local_uniformity"] = {
@@ -523,11 +466,7 @@ def _cmd_reveal_sim(args):
         raise ValueError("target %d out of range [0, %d)" % (target, formula.n))
     prefix = {int(v): bool(b) for v, b in values.get("prefix", {}).items()}
     params = RevealParams(
-        alpha=values["alpha"],
-        p_hd=values["p_hd"],
-        eps_bd=values["eps_bd"],
-        zeta=values["zeta"],
-        k=values.get("k"),
+        **{key: values.get(key) for key in ("alpha", "p_hd", "eps_bd", "zeta", "k")}
     )
     estimate = estimate_nice_probability(
         formula, target, prefix, values["trials"], values["seed"], params,
@@ -560,21 +499,8 @@ def _cmd_reveal_sim(args):
 
 def _cmd_gadget_verify(args):
     report = verify_gadget_counts(args.k, args.ell, limit=args.limit)
-    payload = {
-        "k": report.k,
-        "ell": report.ell,
-        "count_unrestricted": report.count_unrestricted,
-        "count_restricted": report.count_restricted,
-        "ratio": _rat(report.ratio),
-        "lower": _rat(report.lower),
-        "upper": _rat(report.upper),
-        "bounds_hold": report.bounds_hold,
-        "extra": [
-            _assignment_str(a, report.k * report.ell) for a in report.extra
-        ],
-        "extra_is_alternating": report.extra_is_alternating,
-    }
-    return _flag_config(args), payload
+    extra = [_assignment_str(a, report.k * report.ell) for a in report.extra]
+    return _flag_config(args), _payload(report, extra=extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -594,17 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the JSON envelope here instead of stdout")
 
     p = sub.add_parser("generate", help="write a formula family instance as DIMACS")
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_SCHEMAS))
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--index", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--restricted", action="store_true")
-    p.add_argument("--seed")
-    p.add_argument("--reject-budget", type=int, dest="reject_budget")
+    p.add_argument("--family", required=True, choices=sorted(_FAMILIES))
+    for key, check in _GENERATE_FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAG_KWARGS[check])
     p.add_argument("--out", required=True, help="DIMACS output path; the JSON sidecar lands at this path + .json")
     p.set_defaults(func=_cmd_generate)
 

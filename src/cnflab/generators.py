@@ -4,6 +4,7 @@ Every generator is a pure function of its arguments (seed included): the
 same inputs produce byte-identical DIMACS on any platform.
 """
 
+import math
 from dataclasses import dataclass
 
 from .core import Clause, CnfFormula
@@ -104,8 +105,8 @@ def gen_random_cnf(spec: RandomCnfSpec) -> CnfFormula:
     """floor(alpha*n) clauses of k literals drawn i.i.d. uniformly with
     replacement from the 2n literals, then canonicalized (so a clause may
     have fewer than k distinct variables or be tautological)."""
-    if spec.n < 1 or spec.k < 1 or spec.alpha <= 0:
-        raise ValueError("need n >= 1, k >= 1, alpha > 0")
+    if spec.n < 1 or spec.k < 1 or not 0 < spec.alpha < math.inf:
+        raise ValueError("need n >= 1, k >= 1, finite alpha > 0")
     rng = SeededRng(spec.seed)
     clauses = []
     for _ in range(spec.m):

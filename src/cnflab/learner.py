@@ -330,9 +330,11 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
                             seed_base="sweep", limit=None) -> SweepResult:
     """Success fraction of the elimination learner per (instance, grid T).
 
-    instances: list of (family_label, CnfFormula).  Each trial t of an
-    instance uses seed derived_seed(seed_base, t) and shares its sample
-    prefix across all grid points, so per-seed success is monotone in T.
+    instances: list of (family_label, CnfFormula), no two with the same
+    label and n: T* and the CSV rows are keyed by (label, n), so a repeat is
+    a ValueError before any trial runs.  Each trial t of an instance uses
+    seed derived_seed(seed_base, t) and shares its sample prefix across all
+    grid points, so per-seed success is monotone in T.
     T*(n) is the least grid T whose success fraction reaches 1 - delta
     (None if the grid never gets there).
 
@@ -349,6 +351,11 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
         raise ValueError("t_grid must be nonempty and nonnegative")
     if trials < 1:
         raise ValueError("trials must be >= 1, got %d" % trials)
+    instances = list(instances)
+    keys = [(family, formula.n) for family, formula in instances]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError("sweep instances repeat label %r at n=%d" % key)
     rows = []
     t_star = {}
     for family, formula in instances:

@@ -31,9 +31,6 @@ def asymptotic_parameters(k) -> dict:
     }
 
 
-PRESETS = {"asymptotic": asymptotic_parameters}
-
-
 @dataclass(frozen=True)
 class PropertyCheck:
     name: str

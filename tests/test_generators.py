@@ -125,6 +125,13 @@ def test_random_cnf_shape_and_determinism():
         gen_random_cnf(RandomCnfSpec(3, 0, 1.0, "r"))
 
 
+@pytest.mark.parametrize("alpha", [float("inf"), float("nan"), 0.0, -1.0])
+def test_random_cnf_rejects_alpha_that_is_not_finite_and_positive(alpha):
+    # floor(alpha * n) clauses: infinity has no floor, NaN no comparison
+    with pytest.raises(ValueError, match="finite alpha > 0"):
+        gen_random_cnf(RandomCnfSpec(3, 5, alpha, "r"))
+
+
 def test_linear_cnf_respects_constraints():
     f = gen_linear_cnf(7, 2, 25, "lin")
     assert f.n == 25

@@ -412,6 +412,21 @@ def test_sweep_matches_individual_trials():
         assert row.successes == real
 
 
+def test_sweep_rejects_a_repeated_label_at_one_n_before_any_trial(monkeypatch):
+    # two instances with one label at one n would share a T* entry and give
+    # CSV rows that cannot be told apart
+    builds = count_bitmap_builds(monkeypatch)
+    d9a, d9b, d12 = (gen_disjoint_family(3, n, s) for n, s in ((9, "a"), (9, "b"), (12, "c")))
+    with pytest.raises(ValueError, match="repeat label 'd' at n=9"):
+        sample_complexity_sweep([("d", d9a), ("d", d12), ("d", d9b)], 3, [5],
+                                trials=2, seed_base="s")
+    assert builds == []
+    # one label at two sizes, or two labels at one size, are distinct
+    result = sample_complexity_sweep([("d", d9a), ("d", d12), ("e", d9b)], 3, [5],
+                                     trials=2, seed_base="s")
+    assert set(result.t_star) == {("d", 9), ("d", 12), ("e", 9)}
+
+
 def test_sweep_input_validation():
     wide = F(4, pos(0, 1, 2))
     with pytest.raises(ValueError):
