@@ -217,7 +217,7 @@ def validate_family_spec(path, spec):
     if not isinstance(spec, dict):
         return ["%s: must be an object" % path]
     family = spec.get("family")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         return ["%s.family: must be one of %s" % (path, ", ".join(sorted(_FAMILIES)))]
     return _validate(path, spec, {**_SPEC_KEYS, **_FAMILIES[family][1]})
 
@@ -437,6 +437,8 @@ def _check_to_json(check):
 
 def _cmd_props(args):
     formula = _read_formula(args.formula)
+    if args.k is not None and args.k < 1:
+        raise ValueError("need k >= 1, got %d" % args.k)
     k = args.k if args.k is not None else formula.params.k_max
     preset = asymptotic_parameters(max(k, 1))
     beta = args.beta if args.beta is not None else preset["beta"]

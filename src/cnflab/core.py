@@ -229,32 +229,6 @@ def clause_status(clause: Clause, pinning) -> ClauseState:
     return ClauseState(UNDETERMINED, tuple(unpinned))
 
 
-def simplify(formula: CnfFormula, pinning) -> CnfFormula:
-    """Remove satisfied clauses and delete pinned variables from the rest.
-
-    Variables are not renumbered and ``n`` is unchanged.  A clause violated by
-    the pinning becomes the empty clause, which keeps infeasible pinnings
-    representable (the result simply has no solutions).
-    """
-    for v in pinning:
-        if not 0 <= v < formula.n:
-            raise ValueError("pinned variable %d out of range" % v)
-    out = []
-    for c in formula.clauses:
-        st = clause_status(c, pinning)
-        if st.kind == SATISFIED:
-            continue
-        if st.kind == VIOLATED:
-            out.append(Clause((), 0))
-            continue
-        pattern = 0
-        for i, v in enumerate(st.unpinned):
-            if c.forbidden_value(v):
-                pattern |= 1 << i
-        out.append(Clause(st.unpinned, pattern))
-    return CnfFormula(formula.n, tuple(out))
-
-
 def kds_parameters(formula: CnfFormula) -> KdsParams:
     """Exact (k_min, k_max, d_max, s_max) over non-tautological clauses.
 

@@ -6,7 +6,7 @@ formula.
 
 Samples are transposed into n column ints, and two bit-parallel scans read
 every k-subset's patterns off them in colex order, with no Python step per
-sample (exact counts over a solution bitmap are solutions._pattern_counts):
+sample (exact counts over a solution space are Space.pattern_counts):
 
 - _split_tree, the learner's: a depth-first tree in which each node splits
   its parent's sample sets by one more column, each shared prefix split
@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ from .core import Clause, CnfFormula, LearnerInvariantError
 from .rand import SeededRng, derived_seed
 from .solutions import (
     Space,
-    _pattern_counts,
     _space,
     iter_ksubsets_colex,
     sample_uniform,
@@ -109,37 +107,6 @@ def valiant_learn(n, k, samples) -> CnfFormula:
     ))
 
 
-def extend_short_clauses(formula: CnfFormula, k) -> CnfFormula:
-    """Replace every clause of size i < k by its 2^(k-i) * C(n-i, k-i)
-    size-k extensions (every added-variable set, every added polarity).
-
-    The output is logically equivalent to the input: the conjunction of all
-    extensions of a clause forbids exactly the original forbidden pattern.
-    Tautological clauses constrain nothing and are dropped.
-    """
-    if formula.n < k:
-        raise ValueError("extension to size %d needs n >= %d" % (k, k))
-    out = []
-    for clause in formula.clauses:
-        if clause.tautology:
-            continue
-        if clause.size > k:
-            raise ValueError("clause of size %d exceeds k=%d" % (clause.size, k))
-        if clause.size == k:
-            out.append(clause)
-            continue
-        base = list(clause.literals())
-        rest = [v for v in range(formula.n) if v not in clause.vars]
-        add = k - clause.size
-        for extra_vars in itertools.combinations(rest, add):
-            for polarity in range(1 << add):
-                lits = base + [
-                    (w, bool((polarity >> i) & 1)) for i, w in enumerate(extra_vars)
-                ]
-                out.append(Clause.from_literals(lits))
-    return CnfFormula(formula.n, tuple(out))
-
-
 def predicted_sample_bound(theta, n, k, delta) -> int:
     """ceil((1/theta) * (k*ln(2n) - ln(delta))): the sample count at which
     the elimination learner's failure probability drops below delta for a
@@ -168,21 +135,30 @@ class TrialRecord:
     tv: Fraction | None = None
 
 
+def _require_width(formula, k, what):
+    """ValueError if a non-tautological clause of the truth is wider than k."""
+    if any(c.size > k for c in formula.clauses if not c.tautology):
+        raise ValueError("%s needs truth clause sizes <= k" % what)
+
+
 def exact_learning_trial(truth, k, T, seed, family="", report_tv=False, limit=None) -> TrialRecord:
     """Sample T solutions of the truth formula, learn, and record whether
     the learned formula has exactly the truth's solution set.
 
-    Also checks the learner's two unconditional guarantees on every trial,
-    raising LearnerInvariantError if one fails: the learned solution set
-    contains every sample and never exceeds the truth's solution set.
+    A truth clause wider than k is a ValueError before any sampling: the
+    learner's k-clauses cannot express it.  Also checks the learner's two
+    unconditional guarantees on every trial, raising LearnerInvariantError
+    if one fails: the learned solution set contains every sample and never
+    exceeds the truth's solution set (so equal counts mean equal sets).
     """
     start = time.monotonic()
+    _require_width(truth, k, "exact learning")
     space = Space(truth, limit=limit)
     samples = sample_uniform(space, T, seed)
     learned = Space(valiant_learn(truth.n, k, samples), limit=limit)
-    if learned.bitmap & ~space.bitmap:
+    if not learned.issubset(space):
         raise LearnerInvariantError("learned solutions escaped the truth set")
-    if not all((learned.bitmap >> a) & 1 for a in samples):
+    if not all(a in learned for a in samples):
         raise LearnerInvariantError("a sample violates a learned clause")
     tv = tv_distance(space, learned) if report_tv and learned.count else None
     return TrialRecord(
@@ -191,7 +167,7 @@ def exact_learning_trial(truth, k, T, seed, family="", report_tv=False, limit=No
         k=k,
         T=T,
         seed=str(seed),
-        success=learned.bitmap == space.bitmap,
+        success=learned.count == space.count,
         learned_clause_count=len(learned.formula.clauses),
         wall_time_s=time.monotonic() - start,
         tv=tv,
@@ -359,16 +335,10 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
     rows = []
     t_star = {}
     for family, formula in instances:
-        if any(c.size > k for c in formula.clauses if not c.tautology):
-            raise ValueError(
-                "support-mask sweep needs truth clause sizes <= k"
-            )
+        _require_width(formula, k, "support-mask sweep")
         space = _space(formula, limit, "sweep instance %r is unsatisfiable" % (family,))
         supported = sum(
-            1
-            for _, counts in _pattern_counts(formula.n, k, space.bitmap)
-            for count in counts
-            if count
+            1 for _, counts in space.pattern_counts(k) for count in counts if count
         )
         times = [
             _completion_time(space, k, supported, grid[-1],

@@ -1,11 +1,11 @@
-"""Exact resilience oracle, local-uniformity check, and pin sequences.
+"""Exact resilience oracle and local-uniformity check.
 
 Resilience of a formula at width k: every size-k clause outside the formula
 has forbidden-pattern probability either exactly 0 or at least theta, and
 theta is the smallest nonzero value.  Computed here exactly over all
-2^k * C(n,k) candidates from the pattern counts over the solution bitmap
-(solutions._pattern_counts): one popcount per bitmap row and set of at most
-k variables, turned into per-pattern counts on small ints.
+2^k * C(n,k) candidates from the solution space's pattern counts
+(Space.pattern_counts): one popcount per bitmap row and set of at most k
+variables, turned into per-pattern counts on small ints.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import Clause, CnfFormula, clause_status, SATISFIED
-from .solutions import _pattern_counts, _space, marginals
-from .structure import large_intersection_clauses
+from .core import Clause
+from .solutions import _space, marginals
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ def resilience_theta(formula, k, limit=None) -> ResilienceReport:
     best_clause = None
     zero = 0
     candidates = 0
-    for subset, counts in _pattern_counts(space.n, k, space.bitmap):
+    for subset, counts in space.pattern_counts(k):
         for pattern, cnt in enumerate(counts):
             if (subset, pattern) in own:
                 continue
@@ -115,63 +114,3 @@ def check_local_uniformity(formula, t, limit=None) -> LocalUniformityReport:
         t=t,
         max_variable=best_var,
     )
-
-
-def intersection_bound_t1(k, p, s) -> float:
-    """The threshold t1 = k/p + p*s/2 at which the large-intersection set
-    provably has at most p members."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return k / p + p * s / 2
-
-
-PIN_OK = "ok"
-PIN_SAME_VAR_SET = "SameVarSet"
-PIN_INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class PinSequenceResult:
-    status: str  # PIN_OK, PIN_SAME_VAR_SET, or PIN_INFEASIBLE
-    steps: tuple  # ((variable, value), ...) in pin order
-    clause_order: tuple  # indices of the intersection set, in processing order
-
-    @property
-    def pinning(self):
-        return {v: val for v, val in self.steps}
-
-
-def find_pin_sequence(formula: CnfFormula, cstar: Clause, t1) -> PinSequenceResult:
-    """Greedy pinning that satisfies every clause sharing >= t1 variables
-    with cstar, touching only variables outside vbl(cstar).
-
-    Clauses are processed by ascending |vbl(c) - vbl(cstar)| (ties by
-    index); each still-unsatisfied clause gets its smallest-index unpinned
-    variable outside vbl(cstar) pinned to that clause's satisfying value.
-    Returns the SameVarSet marker if some clause has exactly cstar's
-    variable set, and infeasible if a clause has no variable to pin.
-    """
-    cstar_vars = set(cstar.vars)
-    for c in formula.clauses:
-        if not c.tautology and set(c.vars) == cstar_vars:
-            return PinSequenceResult(PIN_SAME_VAR_SET, (), ())
-    chosen = large_intersection_clauses(formula, cstar, t1)
-    order = sorted(
-        chosen, key=lambda i: (len(set(formula.clauses[i].vars) - cstar_vars), i)
-    )
-    pinning = {}
-    steps = []
-    for i in order:
-        clause = formula.clauses[i]
-        if clause_status(clause, pinning).kind == SATISFIED:
-            continue
-        free = [
-            v for v in clause.vars if v not in cstar_vars and v not in pinning
-        ]
-        if not free:
-            return PinSequenceResult(PIN_INFEASIBLE, tuple(steps), tuple(order))
-        v = free[0]
-        value = not clause.forbidden_value(v)
-        pinning[v] = value
-        steps.append((v, value))
-    return PinSequenceResult(PIN_OK, tuple(steps), tuple(order))

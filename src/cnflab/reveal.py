@@ -394,65 +394,6 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
 
 
 @dataclass(frozen=True)
-class EliminationResult:
-    s_sets: tuple  # one sorted variable tuple per removed clause
-    taus: tuple  # matching forbidden-value projections, as dicts
-    removed: tuple  # clause indices in removal order
-    stuck: bool
-    remaining: tuple  # indices still present on exit
-
-
-def iterative_elimination(component: CnfFormula, target, zeta,
-                          exceptional=None, k=None) -> EliminationResult:
-    """Repeatedly strip a clause rich in degree-one variables.
-
-    While more than one clause remains, the smallest-index non-exceptional
-    clause with at least zeta*k/2 - 2 degree-one non-target variables is
-    removed; its degree-one non-target variables S_t are recorded together
-    with the clause's forbidden values on them (so any assignment differing
-    from tau_t somewhere on S_t satisfies the removed clause).  If no clause
-    qualifies first, the run reports stuck with its partial sequences.
-    """
-    if any(c.tautology for c in component.clauses):
-        raise ValueError("the component must be free of tautologies")
-    k = _resolve_k(component, k)
-    threshold = zeta * k / 2 - 2
-    remaining = list(range(len(component.clauses)))
-    s_sets = []
-    taus = []
-    removed = []
-    stuck = False
-    while len(remaining) > 1:
-        deg = {}
-        for i in remaining:
-            for v in component.clauses[i].vars:
-                deg[v] = deg.get(v, 0) + 1
-        pick = None
-        for i in remaining:
-            if i == exceptional:
-                continue
-            singles = [
-                v for v in component.clauses[i].vars
-                if deg[v] == 1 and v != target
-            ]
-            if len(singles) >= threshold:
-                pick = (i, singles)
-                break
-        if pick is None:
-            stuck = True
-            break
-        i, singles = pick
-        clause = component.clauses[i]
-        s_sets.append(tuple(singles))
-        taus.append({v: clause.forbidden_value(v) for v in singles})
-        removed.append(i)
-        remaining.remove(i)
-    return EliminationResult(
-        tuple(s_sets), tuple(taus), tuple(removed), stuck, tuple(remaining)
-    )
-
-
-@dataclass(frozen=True)
 class NiceEstimate:
     fraction: Fraction
     successes: int

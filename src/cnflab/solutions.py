@@ -290,6 +290,20 @@ class Space:
         sub.count = bitmap.bit_count()
         return sub
 
+    def __contains__(self, assignment) -> bool:
+        """True iff the packed assignment is a solution."""
+        return 0 <= assignment < 1 << self.n and bool((self.bitmap >> assignment) & 1)
+
+    def issubset(self, other: Space) -> bool:
+        """True iff every solution of this space is a solution of `other`."""
+        return not self.bitmap & ~other.bitmap
+
+    def pattern_counts(self, k):
+        """(subset, counts) for every k-subset of the variables, in colex
+        order; counts[b] is the number of solutions whose values on subset
+        form pattern b (bit i of b is the value of subset[i])."""
+        return _pattern_counts(self.n, k, self.bitmap)
+
     def count_matching(self, vs, pattern: int) -> int:
         """Number of solutions matching `pattern` on variable tuple `vs`."""
         return (self.bitmap & _cylinder(self.n, vs, pattern)).bit_count()

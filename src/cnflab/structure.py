@@ -12,9 +12,8 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import Clause, CnfFormula, EnumerationLimitError, clause_status, SATISFIED
+from .core import Clause, CnfFormula, clause_status, SATISFIED
 
 
 def asymptotic_parameters(k) -> dict:
@@ -135,22 +134,6 @@ class BadSets:
 EMPTY_BAD_SETS = BadSets(frozenset(), frozenset(), ())
 
 
-def _cascade_start(formula, p_hd, eps_bd, alpha, k):
-    """The bad-set cascade's initial bad variables (degree > p_hd * alpha)
-    and its absorption trigger eps_bd * k (k defaults to the largest clause
-    size)."""
-    if k is None:
-        k = formula.params.k_max
-    degrees = formula.variable_degrees()
-    v_bad = {v for v in range(formula.n) if degrees[v] > p_hd * alpha}
-    return v_bad, eps_bd * k
-
-
-def _overlap(clause, v_bad):
-    """Number of the clause's variables that are bad."""
-    return sum(1 for v in clause.vars if v in v_bad)
-
-
 def identify_bad(formula: CnfFormula, p_hd, eps_bd, alpha, k=None) -> BadSets:
     """Fixed point of the bad-set cascade.
 
@@ -164,9 +147,15 @@ def identify_bad(formula: CnfFormula, p_hd, eps_bd, alpha, k=None) -> BadSets:
     index, and absorbing a clause updates only the clauses of its newly bad
     variables.
     """
-    v_bad, trigger = _cascade_start(formula, p_hd, eps_bd, alpha, k)
+    if k is None:
+        k = formula.params.k_max
+    trigger = eps_bd * k
+    degrees = formula.variable_degrees()
+    v_bad = {v for v in range(formula.n) if degrees[v] > p_hd * alpha}
     by_var = var_to_clauses(formula)
-    overlap = {i: _overlap(c, v_bad) for i, c in _active_clauses(formula)}
+    overlap = {
+        i: sum(1 for v in c.vars if v in v_bad) for i, c in _active_clauses(formula)
+    }
     ready = [i for i in overlap if overlap[i] > trigger]  # ascending: a heap
     c_bad = set()
     trace = []
@@ -182,22 +171,6 @@ def identify_bad(formula: CnfFormula, p_hd, eps_bd, alpha, k=None) -> BadSets:
                 overlap[j] += 1
                 if overlap[j] > trigger >= overlap[j] - 1:
                     heapq.heappush(ready, j)
-    return BadSets(frozenset(v_bad), frozenset(c_bad), tuple(trace))
-
-
-def replay_bad_trace(formula: CnfFormula, p_hd, eps_bd, alpha, trace, k=None) -> BadSets:
-    """Rebuild the bad sets by applying a recorded trace, re-verifying each
-    step's trigger count.  Raises ValueError on any mismatch, so equality
-    with a fresh identify_bad run certifies the trace."""
-    v_bad, trigger = _cascade_start(formula, p_hd, eps_bd, alpha, k)
-    c_bad = set()
-    for i, recorded in trace:
-        c = formula.clauses[i]
-        overlap = _overlap(c, v_bad)
-        if overlap != recorded or not overlap > trigger:
-            raise ValueError("trace step (%d, %d) does not replay" % (i, recorded))
-        c_bad.add(i)
-        v_bad.update(c.vars)
     return BadSets(frozenset(v_bad), frozenset(c_bad), tuple(trace))
 
 
@@ -355,8 +328,8 @@ def _min_union_greedy(var_sets, sizes):
 def check_edge_expansion(formula: CnfFormula, rho, eta, B, ell_limit,
                          subset_budget=500_000, choice_budget=200_000) -> PropertyCheck:
     """For every set of ell <= min(ell_limit, rho*|C|) distinct clauses and
-    every choice of B variables from each, the union must exceed
-    (1-eta)*B*ell.
+    every choice of B variables from each (B a whole number >= 1, else
+    ValueError), the union must exceed (1-eta)*B*ell.
 
     Clause subsets are exhausted when their number fits the budget, else
     probed by a greedy high-overlap heuristic; per-subset variable choices
@@ -364,6 +337,8 @@ def check_edge_expansion(formula: CnfFormula, rho, eta, B, ell_limit,
     choices fits its budget, else chosen greedily.  A pass is "proved-pass"
     only if both levels were exhaustive for every ell.
     """
+    if not (1 <= B < math.inf and B % 1 == 0):
+        raise ValueError("B must be a whole number >= 1, got %r" % (B,))
     active = _active_clauses(formula)
     m = len(active)
     ell_max = min(ell_limit, math.floor(rho * m))
@@ -383,7 +358,7 @@ def check_edge_expansion(formula: CnfFormula, rho, eta, B, ell_limit,
         for subset in subset_iter:
             explored += 1
             var_sets = [active[i][1].vars for i in subset]
-            sizes = [min(B, len(vs)) for vs in var_sets]
+            sizes = [min(int(B), len(vs)) for vs in var_sets]
             combos = 1
             for vs, b in zip(var_sets, sizes):
                 combos *= math.comb(len(vs), b)
@@ -429,74 +404,3 @@ def _heuristic_subsets(active, ell, starts=50):
             union.update(active[best][1].vars)
         if len(chosen) == ell:
             yield tuple(sorted(chosen))
-
-
-def count_connected_sets(formula: CnfFormula, c_index, ell, limit=6) -> int:
-    """Exact number of connected dependency-graph clause sets of size ell
-    containing the given clause."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if ell > limit:
-        raise EnumerationLimitError("ell=%d exceeds the limit %d" % (ell, limit))
-    adj = clause_adjacency(formula)
-    current = {frozenset((c_index,))}
-    for _ in range(ell - 1):
-        nxt = set()
-        for s in current:
-            reach = set()
-            for i in s:
-                reach.update(adj[i])
-            for w in reach - s:
-                nxt.add(s | {w})
-        current = nxt
-    return len(current)
-
-
-@dataclass(frozen=True)
-class BadFractionReport:
-    fraction: Fraction
-    size: int
-    log_n: float
-    applies: bool  # component is large enough for the bound to be claimed
-    bound: float | None
-    holds: bool | None
-    slack: float | None
-
-
-def bad_fraction_in_component(formula: CnfFormula, component, bad,
-                              k=None, p_hd=None, eps_bd=None, eta=None) -> BadFractionReport:
-    """Exact fraction of a connected component lying in the bad clause set,
-    compared (when the component has >= log2 n members and parameters are
-    supplied) against 12 k^5 / ((1-eta)(eps_bd-eta) p_hd)."""
-    comp = tuple(sorted(set(component)))
-    if not comp:
-        raise ValueError("component is empty")
-    adj = clause_adjacency(formula)
-    members = set(comp)
-    for i in comp:
-        if formula.clauses[i].tautology:
-            raise ValueError("clause %d is tautological, not in the dependency graph" % i)
-    seen = {comp[0]}
-    stack = [comp[0]]
-    while stack:
-        j = stack.pop()
-        for w in adj[j]:
-            if w in members and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != members:
-        raise ValueError("component is not connected in the dependency graph")
-    fraction = Fraction(sum(1 for i in comp if i in bad.c_bad), len(comp))
-    log_n = math.log2(formula.n) if formula.n > 0 else 0.0
-    applies = len(comp) >= log_n
-    bound = None
-    holds = None
-    slack = None
-    if None not in (k, p_hd, eps_bd, eta):
-        denom = (1 - eta) * (eps_bd - eta) * p_hd
-        if denom > 0:
-            bound = 12 * k**5 / denom
-            slack = bound - float(fraction)
-            if applies:
-                holds = fraction <= bound
-    return BadFractionReport(fraction, len(comp), log_n, applies, bound, holds, slack)

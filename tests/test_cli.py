@@ -201,6 +201,17 @@ def test_props_battery_on_disjoint_family(tmp_path, capsys):
         assert set(check) == {"name", "passed", "verdict", "note", "witness"}
 
 
+def test_props_runs_edge_expansion_on_a_linear_formula(tmp_path, capsys):
+    # floor(rho * |C|) >= 1 here, so B (a float flag) reaches math.comb
+    path = formula_file(tmp_path, "lin.cnf", gen_linear_cnf(3, 3, 18, "props"))
+    checks = invoke_json(capsys, "props", path)["payload"]["checks"]
+    expansion = next(c for c in checks if c["name"] == "edge-expansion")
+    assert expansion["note"] != "no admissible subset size (rho*|C| < 1)"
+    for argv in (["--k", "0"], ["--expansion-b", "1.5"]):
+        code, out, err = invoke(capsys, "props", path, *argv)
+        assert code == 1 and out == "" and err.startswith("error: "), argv
+
+
 def test_gadget_verify_command(capsys):
     result = invoke_json(capsys, "gadget-verify", "--k", "3", "--ell", "1")
     payload = result["payload"]
@@ -618,6 +629,17 @@ CONFIG_ERRORS = [
             "$.instances[6].index: must be a non-negative integer",
             "$.instances[7].restricted: must be a boolean",
             "$.instances[8].k: required",
+        ],
+    ),
+    (
+        "sweep-err-family-list",
+        ["sweep", "cfg.json"],
+        (
+            '{"instances": [{"family": []}], "k": 2, "t_grid": [2], "seed_base": "s", '
+            '"out_csv": "x.csv"}'
+        ),
+        [
+            "$.instances[0].family: must be one of counterexample, disjoint, gadget, hard, linear, random",
         ],
     ),
     (

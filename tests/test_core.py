@@ -19,7 +19,6 @@ from cnflab import (
     gen_gadget,
     kds_parameters,
     parse_dimacs,
-    simplify,
     write_dimacs,
 )
 from util import F, pos, neg, from_bits
@@ -94,29 +93,6 @@ def test_satisfied_by_whole_formula():
     f = F(3, pos(0, 1), neg(1, 2))
     assert f.satisfied_by(from_bits([True, False, False]))
     assert not f.satisfied_by(from_bits([False, False, True]))
-
-
-def test_simplify_drops_satisfied_and_shrinks_rest():
-    f = F(3, pos(0, 1), [(0, True), (2, False)])
-    g = simplify(f, {0: True})
-    assert g.n == 3
-    assert len(g.clauses) == 1
-    assert g.clauses[0].vars == (2,)
-    h = simplify(f, {0: False})
-    assert [c.vars for c in h.clauses] == [(1,)]
-
-
-def test_simplify_keeps_violated_clause_as_empty():
-    f = F(2, pos(0))
-    g = simplify(f, {0: False})
-    assert len(g.clauses) == 1
-    assert g.clauses[0].vars == ()
-    assert not g.satisfied_by(0b11)
-
-
-def test_simplify_rejects_out_of_range_pin():
-    with pytest.raises(ValueError):
-        simplify(F(2, pos(0)), {5: True})
 
 
 def test_assignment_bool_roundtrip():

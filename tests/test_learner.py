@@ -22,7 +22,6 @@ from cnflab import (
     enumerate_solutions,
     equivalent,
     exact_learning_trial,
-    extend_short_clauses,
     gen_disjoint_family,
     gen_gadget,
     gen_random_cnf,
@@ -267,6 +266,12 @@ def test_valiant_edge_cases():
         valiant_learn(2, -1, [])
 
 
+def test_exact_learning_trial_rejects_a_truth_wider_than_k():
+    truth = gen_gadget(GadgetSpec(3, 2))
+    with pytest.raises(ValueError, match="exact learning needs truth clause sizes <= k"):
+        exact_learning_trial(truth, 2, 50, "s")
+
+
 def test_exact_learning_trial_raises_on_a_broken_learner(monkeypatch):
     truth = gen_disjoint_family(2, 4, "broken")
     first = sample_uniform(truth, 1, "b")[0]
@@ -297,36 +302,6 @@ def test_valiant_soundness_and_monotonicity():
         if prev is not None:
             assert len(learned.clauses) <= prev
         prev = len(learned.clauses)
-
-
-def test_extend_short_clauses_counts():
-    f = F(3, [(0, False)])
-    g = extend_short_clauses(f, 2)
-    # 2^(2-1) * C(2,1) extensions of the unit clause
-    assert len(g.clauses) == 4
-    assert all(c.size == 2 for c in g.clauses)
-    assert equivalent(f, g)
-
-
-def test_extend_short_clauses_equivalence_mixed():
-    f = F(5, [(1, True)], pos(0, 2, 4), [(2, False), (3, True)])
-    g = extend_short_clauses(f, 3)
-    assert all(c.size == 3 for c in g.clauses)
-    assert equivalent(f, g)
-
-
-def test_extend_short_clauses_keeps_full_width_and_drops_tautologies():
-    taut = Clause.from_literals([(0, False), (0, True)])
-    full = Clause.from_literals(pos(1, 2))
-    g = extend_short_clauses(CnfFormula(3, (taut, full)), 2)
-    assert g.clauses == (full,)
-
-
-def test_extend_short_clauses_errors():
-    with pytest.raises(ValueError):
-        extend_short_clauses(F(3, pos(0, 1, 2)), 2)  # clause wider than k
-    with pytest.raises(ValueError):
-        extend_short_clauses(F(2, pos(0)), 3)  # n < k
 
 
 def test_predicted_sample_bound_known_values():

@@ -1,4 +1,4 @@
-"""Resilience threshold, local uniformity, and the intersection pin sequence."""
+"""Resilience threshold and local uniformity."""
 
 import math
 import tracemalloc
@@ -14,19 +14,15 @@ from cnflab import (
     RandomCnfSpec,
     UnsatisfiableError,
     check_local_uniformity,
-    conditional_prob,
     count_solutions,
-    find_pin_sequence,
     forbidden_pattern_prob,
     gen_disjoint_family,
     gen_gadget,
     gen_linear_cnf,
     gen_random_cnf,
-    intersection_bound_t1,
     large_intersection_clauses,
     resilience_theta,
 )
-from cnflab.resilience import PIN_INFEASIBLE, PIN_OK, PIN_SAME_VAR_SET
 
 import naive
 from util import F, pos, neg, to_naive
@@ -168,50 +164,3 @@ def test_large_intersection_clauses():
     assert large_intersection_clauses(f, cstar, 2) == (0,)
     assert large_intersection_clauses(f, cstar, 1) == (0, 1)
     assert large_intersection_clauses(f, cstar, 4) == ()
-
-
-def test_intersection_bound_t1():
-    assert intersection_bound_t1(6, 3, 2) == pytest.approx(6 / 3 + 3 * 2 / 2)
-    with pytest.raises(ValueError):
-        intersection_bound_t1(6, 0, 2)
-
-
-def test_pin_sequence_gadget():
-    f = gen_gadget(GadgetSpec(3, 2))
-    cstar = Clause.from_literals(neg(0, 1, 2))
-    result = find_pin_sequence(f, cstar, 2)
-    assert result.status == PIN_OK
-    assert result.steps == ((3, False), (4, False), (5, False))
-    assert result.clause_order == (0, 1, 2)
-    # the pinning satisfies the whole intersection set, leaving the
-    # candidate's forbidden pattern at probability exactly 2^-k
-    event = {v: cstar.forbidden_value(v) for v in cstar.vars}
-    assert conditional_prob(f, result.pinning, event) == Fraction(1, 8)
-
-
-def test_pin_sequence_skips_satisfied_clauses():
-    # both clauses want variable 4; one pin satisfies them both
-    f = F(5, pos(0, 1, 4), pos(1, 2, 4))
-    cstar = Clause.from_literals(pos(0, 1, 2))
-    result = find_pin_sequence(f, cstar, 2)
-    assert result.status == PIN_OK
-    assert result.steps == ((4, True),)
-    assert result.clause_order == (0, 1)
-
-
-def test_pin_sequence_same_var_set():
-    f = gen_gadget(GadgetSpec(3, 2))
-    # same variable set as clause (1,2,3), different polarities
-    cstar = Clause.from_literals(pos(1, 2, 3))
-    result = find_pin_sequence(f, cstar, 3)
-    assert result.status == PIN_SAME_VAR_SET
-    assert result.steps == ()
-
-
-def test_pin_sequence_infeasible_reports_partial():
-    f = F(3, [(2, True)], [(2, False)])
-    cstar = Clause.from_literals(pos(0, 1))
-    result = find_pin_sequence(f, cstar, 0)
-    assert result.status == PIN_INFEASIBLE
-    assert result.steps == ((2, False),)
-    assert result.clause_order == (0, 1)

@@ -24,7 +24,6 @@ from cnflab import (
     gen_linear_cnf,
     gen_random_cnf,
     is_nice,
-    iterative_elimination,
     reveal,
     wilson_interval,
 )
@@ -460,71 +459,6 @@ def test_is_nice_component_pass():
     # together: too big at n=6; use the verdict object to document it
     rep = is_nice(GADGET, r, 0, {}, zeta=0.4, k=3)
     assert rep.component_size >= 1
-
-
-def test_iterative_elimination_single_clause_is_trivial():
-    f = F(3, pos(0, 1, 2))
-    res = iterative_elimination(f, 0, zeta=1.0)
-    assert res.s_sets == () and res.taus == ()
-    assert not res.stuck
-    assert res.remaining == (0,)
-
-
-def test_iterative_elimination_two_clause_step():
-    f = F(9, pos(0, 1, 2, 3, 4), pos(4, 5, 6, 7, 8))
-    res = iterative_elimination(f, 4, zeta=0.8)
-    assert res.removed == (0,)
-    assert res.s_sets == ((0, 1, 2, 3),)
-    assert res.taus == ({0: False, 1: False, 2: False, 3: False},)
-    assert not res.stuck
-    assert res.remaining == (1,)
-
-
-def test_iterative_elimination_records_forbidden_projection():
-    f = F(6, neg(0, 1, 2), pos(2, 3, 4, 5))
-    res = iterative_elimination(f, 2, zeta=0.5)
-    for idx, s_t, tau_t in zip(res.removed, res.s_sets, res.taus):
-        clause = f.clauses[idx]
-        assert set(s_t) <= set(clause.vars)
-        assert 2 not in s_t
-        for w in s_t:
-            assert tau_t[w] == clause.forbidden_value(w)
-            # flipping any recorded variable away from tau satisfies the clause
-            forb = sum(
-                1 << v for v in clause.vars if clause.forbidden_value(v)
-            )
-            assert clause.satisfied_by(forb ^ (1 << w))
-
-
-def test_iterative_elimination_stuck_triangle():
-    f = F(4, pos(0, 1, 3), pos(1, 2, 3), pos(0, 2, 3))
-    res = iterative_elimination(f, 3, zeta=2.0)
-    assert res.stuck
-    assert res.removed == ()
-    assert res.remaining == (0, 1, 2)
-
-
-def test_iterative_elimination_skips_exceptional():
-    f = F(6, pos(0, 1, 2), pos(3, 4, 5))
-    res = iterative_elimination(f, 0, zeta=1.0, exceptional=0)
-    assert res.removed == (1,)
-    assert res.remaining == (0,)
-
-
-def test_iterative_elimination_disjoint_sets_exclude_target():
-    res = iterative_elimination(GADGET, 0, zeta=0.4)
-    seen = set()
-    for s_t in res.s_sets:
-        assert 0 not in s_t
-        assert not seen.intersection(s_t)
-        seen.update(s_t)
-    assert len(res.remaining) <= 1 or res.stuck
-
-
-def test_iterative_elimination_rejects_tautologies():
-    taut = Clause.from_literals([(0, False), (0, True)])
-    with pytest.raises(ValueError):
-        iterative_elimination(CnfFormula(2, (taut,)), 0, zeta=1.0)
 
 
 def test_estimate_nice_probability_sparse_easy_case():

@@ -1,5 +1,6 @@
 """Exact solution-space engine: enumeration, sampling, and distribution oracles."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,34 @@ def test_counts_by_pattern_matches_naive(case):
     for a in sols:
         expected[sum(a[v] << i for i, v in enumerate(vs))] += 1
     assert Space(F(n, *clauses)).counts_by_pattern(tuple(vs)) == expected
+
+
+def _clause_lists(n):
+    return st.lists(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                             min_size=1, max_size=3), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), _clause_lists(n), _clause_lists(n))))
+def test_space_surface_matches_naive(case):
+    # pattern counts by width, membership and containment, each against
+    # the naive solution list; more is the formula with extra clauses
+    n, k, clauses, extra = case
+    sols = set(naive.solutions(n, clauses))
+    space, more = Space(F(n, *clauses)), Space(F(n, *clauses, *extra))
+    walk = list(space.pattern_counts(k))
+    assert [subset for subset, _ in walk] == sorted(
+        itertools.combinations(range(n), k), key=lambda s: s[::-1])
+    for subset, counts in walk:
+        expected = [0] * (1 << k)
+        for a in sols:
+            expected[sum(a[v] << i for i, v in enumerate(subset))] += 1
+        assert counts == expected, subset
+    assert [a for a in range(-1, (1 << n) + 1) if a in space] == sorted(
+        from_bits(a) for a in sols)
+    assert more.issubset(space)
+    assert space.issubset(more) == (more.count == space.count)
 
 
 @settings(max_examples=60, deadline=None)

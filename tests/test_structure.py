@@ -1,4 +1,4 @@
-"""Structural property checks, bad-set cascade, and dependency-graph counting."""
+"""Structural property checks, bad-set cascade, and dependency components."""
 
 import math
 from fractions import Fraction
@@ -9,22 +9,18 @@ from hypothesis import given, settings, strategies as st
 from cnflab import (
     Clause,
     CnfFormula,
-    EnumerationLimitError,
     GadgetSpec,
     RandomCnfSpec,
     check_clause_sizes,
     check_degree_one_property,
     check_edge_expansion,
     check_pairwise_intersection,
-    count_connected_sets,
-    bad_fraction_in_component,
     dependency_components,
     gen_disjoint_family,
     gen_gadget,
     gen_random_cnf,
     identify_bad,
     modified_bad_sets,
-    replay_bad_trace,
 )
 from cnflab.structure import EMPTY_BAD_SETS, asymptotic_parameters
 
@@ -103,12 +99,6 @@ def test_identify_bad_fixed_point_property():
                 assert overlap <= trigger
 
 
-def test_replay_bad_trace_round_trip():
-    bad = identify_bad(STAR, p_hd=2, eps_bd=0.2, alpha=1.0)
-    replayed = replay_bad_trace(STAR, 2, 0.2, 1.0, bad.trace)
-    assert replayed == bad
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_identify_bad_matches_rescan_oracle(data):
@@ -125,18 +115,6 @@ def test_identify_bad_matches_rescan_oracle(data):
     expect_k = naive.k_max(clauses) if k is None else k
     v_bad, c_bad, trace = naive.identify_bad(n, clauses, p_hd, eps_bd, 1.0, expect_k)
     assert (bad.v_bad, bad.c_bad, bad.trace) == (v_bad, c_bad, tuple(trace))
-    assert replay_bad_trace(f, p_hd, eps_bd, 1.0, bad.trace, k=k) == bad
-
-
-def test_replay_bad_trace_rejects_tampering():
-    bad = identify_bad(STAR, p_hd=2, eps_bd=0.2, alpha=1.0)
-    wrong_overlap = ((0, 2),) + bad.trace[1:]
-    with pytest.raises(ValueError):
-        replay_bad_trace(STAR, 2, 0.2, 1.0, wrong_overlap)
-    # a correctly-counted step that never crossed the trigger must not replay
-    f = F(5, pos(0, 1, 2), pos(0, 3, 4))
-    with pytest.raises(ValueError):
-        replay_bad_trace(f, 1, 0.5, 1.0, ((0, 1),))
 
 
 def test_modified_bad_sets_augmentation():
@@ -206,6 +184,14 @@ def test_edge_expansion_vacuous_and_proved():
     assert vac.verdict == "proved-pass" and vac.explored == 0
     ok = check_edge_expansion(f, rho=1.0, eta=0.5, B=2, ell_limit=2)
     assert ok.passed and ok.verdict == "proved-pass"
+    # a whole float B (the CLI flag's type) gives the same answer
+    assert check_edge_expansion(f, rho=1.0, eta=0.5, B=2.0, ell_limit=2) == ok
+
+
+@pytest.mark.parametrize("B", [0, 1.5, float("nan"), float("inf")])
+def test_edge_expansion_rejects_a_b_that_is_not_a_whole_number(B):
+    with pytest.raises(ValueError, match="B must be a whole number >= 1"):
+        check_edge_expansion(STAR, rho=1.0, eta=0.5, B=B, ell_limit=2)
 
 
 def test_edge_expansion_failure_witness():
@@ -234,56 +220,3 @@ def test_dependency_components():
     taut = Clause.from_literals([(0, False), (0, True)])
     f = CnfFormula(4, (taut, Clause.from_literals(pos(1, 2))))
     assert dependency_components(f) == [(1,)]
-
-
-def test_count_connected_sets_gadget_triangle():
-    f = gen_gadget(GadgetSpec(3, 2))
-    assert count_connected_sets(f, 0, 1) == 1
-    assert count_connected_sets(f, 0, 2) == 2
-    assert count_connected_sets(f, 0, 3) == 1
-    with pytest.raises(ValueError):
-        count_connected_sets(f, 0, 0)
-    with pytest.raises(EnumerationLimitError):
-        count_connected_sets(f, 0, 7)
-
-
-def test_count_connected_sets_star():
-    # the star's three clauses all meet at variable 0: every pair connects
-    assert count_connected_sets(STAR, 0, 2) == 2
-    assert count_connected_sets(STAR, 0, 3) == 1
-
-
-def test_bad_fraction_in_component():
-    f = gen_gadget(GadgetSpec(3, 2))
-    bad = modified_bad_sets(f, None, {}, 0, p_hd=100, eps_bd=0.5, alpha=1.0)
-    rep = bad_fraction_in_component(
-        f, (0, 1, 2), bad, k=3, p_hd=100, eps_bd=0.5, eta=0.1
-    )
-    assert rep.fraction == Fraction(1, 3)
-    assert rep.size == 3
-    assert rep.applies  # 3 >= log2(6)
-    assert rep.bound == pytest.approx(12 * 3**5 / (0.9 * 0.4 * 100))
-    assert rep.holds
-
-
-def test_bad_fraction_validation():
-    f = F(6, pos(0, 1), pos(4, 5))
-    bad = identify_bad(f, p_hd=100, eps_bd=0.5, alpha=1.0)
-    with pytest.raises(ValueError):
-        bad_fraction_in_component(f, (), bad)
-    with pytest.raises(ValueError):
-        bad_fraction_in_component(f, (0, 1), bad)  # disjoint clauses
-    taut = Clause.from_literals([(0, False), (0, True)])
-    g = CnfFormula(3, (taut,))
-    bad2 = identify_bad(g, p_hd=100, eps_bd=0.5, alpha=1.0)
-    with pytest.raises(ValueError):
-        bad_fraction_in_component(g, (0,), bad2)
-
-
-def test_bad_fraction_small_component_does_not_apply():
-    f = F(40, pos(0, 1), pos(1, 2))
-    bad = identify_bad(f, p_hd=100, eps_bd=0.5, alpha=1.0)
-    rep = bad_fraction_in_component(f, (0, 1), bad, k=2, p_hd=100,
-                                    eps_bd=0.5, eta=0.1)
-    assert not rep.applies  # 2 < log2(40)
-    assert rep.holds is None
