@@ -1,19 +1,28 @@
 """Exact solution-space engine.
 
-The entire assignment space of a formula over n variables is represented as
-one 2^n-bit Python int ("bitmap"): bit a is set iff assignment a (packed as
-in core) satisfies the formula.  The bitmap is built as 2^(n-L) rows of
-2^L bits, L = min(n, 16), one row per pattern of the variables >= L: a row
-is the complement of the OR of the 2^L-bit low-variable cylinders of the
-clauses whose literals on the high variables that pattern all falsifies
-(every clause without high variables included), so a build costs about
-m * 2^(n-L) small ORs plus one 2^n-bit join, not m full 2^n-bit cylinders.
-Every probability afterwards is a popcount.  Every count of solutions with
-a set of at most k variables all True (resilience, the sweep's truth
-support, counts_by_pattern, marginals, correlation) is read off the same
-rows by one walk, and a subset Moebius transform turns such counts into
-pattern counts; this module is the only one that knows the row layout.
-Everything is exact; the only floats in this module are never returned.
+The solutions of a formula over n variables are kept as 2^(n-L) rows of
+2^L bits, L = min(n, 16), one Python int per pattern h of the variables
+>= L ("high" variables): bit x of row h is set iff the assignment
+h << L | x (packed as in core) satisfies the formula.  The rows are the
+representation; the 2^n-bit int "bitmap" of all solutions is only a view
+that joins them little-endian when it is read (Space.bitmap,
+solution_bitmap).
+
+A row is the complement of the OR of the 2^L-bit low-variable cylinders of
+the clauses whose high literals h all falsifies (every clause without high
+variables included).  The rows come out of one Shannon tree over the high
+variables, highest first: a clause whose lowest high variable is L + j
+joins the tree at the nodes that fix variables L + j and up, where its
+whole high pattern is known, so it is tested at 2^(n-L-j-1) nodes, not at
+all 2^(n-L) rows, and no 2^n-bit int is built.
+Every query reads the rows: a pinning splits into one low cylinder and a
+high mask/pattern that keeps or drops whole rows, and every count of
+solutions with a set of at most k variables all True (resilience, the
+sweep's truth support, counts_by_pattern, marginals, correlation) is read
+off the rows by one walk, a subset Moebius transform turning such counts
+into pattern counts.  This module is the only one that knows the row
+layout.  Everything is exact; the only floats in this module are never
+returned.
 """
 
 from __future__ import annotations
@@ -49,9 +58,10 @@ _HALVES = tuple(
     for e in reversed(range((_BLOCK_BYTES * 8).bit_length() - 1))
 )
 
-# the bitmap is built in rows of 2^_LOW_BITS bits, one per pattern of the
-# variables >= _LOW_BITS; a random 3-CNF at n=25 builds in 0.02-0.04 s with
-# widths 14-20 and in 0.19 s with 10 (2-vCPU Xeon guest)
+# the rows are 2^_LOW_BITS bits wide, one per pattern of the variables >=
+# _LOW_BITS; the rows of a random 3-CNF at n=25, alpha=3.0 build in a
+# median 4-5 ms with widths 14-16, 6 ms with 10-12 or 18 and 15 ms with 20
+# (2-vCPU Xeon guest)
 _LOW_BITS = 16
 
 
@@ -80,17 +90,19 @@ def colex_rank(subset) -> int:
     return sum(math.comb(s, i + 1) for i, s in enumerate(subset))
 
 
+def _check_range(n, vs):
+    for v in vs:
+        if not 0 <= v < n:
+            raise ValueError("variable %d out of range [0, %d)" % (v, n))
+
+
 def _cylinder(nbits, vs, pattern: int) -> int:
     """Bitmap over 2^nbits assignments of those whose values on the variable
-    tuple `vs` spell `pattern` (bit i is the value of vs[i]).
-
-    A pattern giving a repeated variable two values matches nothing; a
-    variable outside [0, nbits) raises ValueError before allocating.
-    """
+    tuple `vs` (each in [0, nbits)) spell `pattern` (bit i is the value of
+    vs[i]).  A pattern giving a repeated variable two values matches
+    nothing."""
     base = zeros = 0
     for i, v in enumerate(vs):
-        if not 0 <= v < nbits:
-            raise ValueError("variable %d out of range [0, %d)" % (v, nbits))
         if (pattern >> i) & 1:
             base |= 1 << v
         else:
@@ -108,90 +120,122 @@ def _cylinder(nbits, vs, pattern: int) -> int:
     return pat
 
 
-def pinning_bitmap(n, pinning) -> int:
-    """Bitmap over all 2^n assignments of those agreeing with the pinning."""
-    vs = tuple(sorted(pinning))
-    pattern = 0
+def _split(n, vs, pattern: int):
+    """(low cylinder, high mask, high pattern) of the assignments whose
+    values on the variable tuple `vs` spell `pattern` (bit i for vs[i]):
+    row h holds them at the bits of the 2^L-bit cylinder on the variables
+    below L if h & mask == pattern on the variables >= L, and nowhere else.
+
+    A pattern giving a repeated variable two values matches nothing (the
+    cylinder is 0); a variable outside [0, n) raises ValueError before
+    allocating.
+    """
+    _check_range(n, vs)
+    low = min(n, _LOW_BITS)
+    low_vs, low_pat, high_mask, high_pat = [], 0, 0, 0
+    clash = False
     for i, v in enumerate(vs):
-        if pinning[v]:
-            pattern |= 1 << i
-    return _cylinder(n, vs, pattern)
+        bit = (pattern >> i) & 1
+        if v < low:
+            low_pat |= bit << len(low_vs)
+            low_vs.append(v)
+        else:
+            m = 1 << (v - low)
+            clash |= bool(high_mask & m) and bool(high_pat & m) != bit
+            high_mask |= m
+            high_pat |= bit << (v - low)
+    return 0 if clash else _cylinder(low, low_vs, low_pat), high_mask, high_pat
 
 
-def _bitmap(nbits, clauses) -> int:
-    """Solution bitmap by Shannon expansion on the variables >= _LOW_BITS.
+def _pinned(pinning):
+    """(variables, pattern) of a pinning (variable -> value): the pinned
+    variables in increasing order, bit i of the pattern the value of the
+    i-th."""
+    vs = tuple(sorted(pinning))
+    return vs, sum(1 << i for i, v in enumerate(vs) if pinning[v])
 
-    Each row fixes the high variables to one pattern h and is the 2^low-bit
-    complement of the low-variable violation cylinders of the clauses whose
-    high literals h all falsifies; the rows, joined little-endian, are the
-    2^nbits-bit bitmap.
+
+def _solution_rows(nbits, clauses) -> tuple:
+    """The solution rows by Shannon expansion on the variables >= L.
+
+    Each clause is bucketed by its lowest high variable and by its
+    forbidden value there; clauses without high variables seed the root.
+    The tree fixes the high variables from the highest down, depth first,
+    so its leaves come out in increasing h, each as the complement of its
+    node's violations.
     """
     low = min(nbits, _LOW_BITS)
     full = (1 << (1 << low)) - 1
+    buckets = [([], []) for _ in range(nbits - low)]
     base = 0
-    split = []  # (high-variable mask, forbidden high pattern, low cylinder)
     for c in clauses:
         if c.tautology:
             continue
-        low_vs, low_pat, high_mask, high_pat = [], 0, 0, 0
-        for i, v in enumerate(c.vars):
-            bit = (c.forbidden >> i) & 1
-            if v < low:
-                low_pat |= bit << len(low_vs)
-                low_vs.append(v)
-            else:
-                high_mask |= 1 << (v - low)
-                high_pat |= bit << (v - low)
-        cyl = _cylinder(low, low_vs, low_pat)
-        if high_mask:
-            split.append((high_mask, high_pat, cyl))
+        cyl, mask, pat = _split(nbits, c.vars, c.forbidden)
+        if mask:
+            j = (mask & -mask).bit_length() - 1
+            buckets[j][(pat >> j) & 1].append((cyl, mask, pat))
         else:
             base |= cyl
-    if low == nbits:
-        return full ^ base
     rows = []
-    for h in range(1 << (nbits - low)):
-        viol = base
-        for high_mask, high_pat, cyl in split:
-            if h & high_mask == high_pat:
-                viol |= cyl
-        rows.append((full ^ viol).to_bytes(1 << (low - 3), "little"))
-    return int.from_bytes(b"".join(rows), "little")
+    _shannon(buckets, len(buckets), 0, base, full, rows)
+    return tuple(rows)
+
+
+def _shannon(buckets, level, prefix, viol, full, rows):
+    """Append to `rows` the 2^level rows below the node that fixes the high
+    variables from `level` up to `prefix`, its clauses' violations ORed
+    into `viol`.  A node violated throughout gives zero rows at once; a
+    leaf without violations shares the `full` int.  A module-level
+    function for the reason given at _all_true_walk."""
+    if viol == full:
+        rows.extend([0] * (1 << level))
+    elif not level:
+        rows.append(full ^ viol if viol else full)
+    else:
+        level -= 1
+        for value, bucket in enumerate(buckets[level]):
+            h = prefix | value << level
+            child = viol
+            for cyl, mask, pat in bucket:
+                if h & mask == pat:
+                    child |= cyl
+            _shannon(buckets, level, h, child, full, rows)
+
+
+def _join(rows) -> int:
+    """The 2^n-bit bitmap: the rows joined little-endian."""
+    if len(rows) == 1:
+        return rows[0]
+    row_bytes = 1 << (_LOW_BITS - 3)
+    return int.from_bytes(
+        b"".join(row.to_bytes(row_bytes, "little") for row in rows), "little"
+    )
 
 
 def solution_bitmap(formula: CnfFormula, limit=None) -> int:
-    """The formula's full solution bitmap."""
-    lim = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-    if formula.n > lim:
-        raise EnumerationLimitError(
-            "n=%d exceeds the enumeration limit %d" % (formula.n, lim)
-        )
-    return _bitmap(formula.n, formula.clauses)
+    """The formula's full solution bitmap, joined from its rows."""
+    return Space(formula, limit=limit).bitmap
 
 
-def _all_true_counts(n, bitmap, vs, depth):
-    """All-True counts N(S) over a 2^n-bit set of assignments: for every set
-    S of at most `depth` positions of the variable tuple vs, keyed by its
-    position mask (bit i for vs[i]; the empty set is key 0), the number of
-    assignments with every variable at those positions True.  A set missing
-    from the result counts 0.
+def _all_true_counts(n, rows, vs, depth):
+    """All-True counts N(S) over a set of assignments given as rows: for
+    every set S of at most `depth` positions of the variable tuple vs, keyed
+    by its position mask (bit i for vs[i]; the empty set is key 0), the
+    number of assignments with every variable at those positions True.  A
+    set missing from the result counts 0.
 
-    Walked per 2^L-bit row, L = min(n, _LOW_BITS): a variable below L goes
-    through its 2^L-bit mask, built once; a variable at or above L is True
-    throughout the rows whose high pattern sets it and False in the others,
-    so a row just skips it or keeps its node.  No 2^n-bit mask is built.
-    Raises ValueError for a variable outside [0, n) before allocating.
+    Walked per row: a variable below L goes through its 2^L-bit mask, built
+    once; a variable at or above L is True throughout the rows whose high
+    pattern sets it and False in the others, so a row just skips it or
+    keeps its node.  Raises ValueError for a variable outside [0, n)
+    before allocating.
     """
-    for v in vs:
-        if not 0 <= v < n:
-            raise ValueError("variable %d out of range [0, %d)" % (v, n))
+    _check_range(n, vs)
     low = min(n, _LOW_BITS)
     masks = [_cylinder(low, (v,), 1) if v < low else None for v in vs]
-    row_bytes = ((1 << low) + 7) // 8
-    raw = memoryview(bitmap.to_bytes(row_bytes << (n - low), "little"))
-    out = {0: bitmap.bit_count()}
-    for h in range(1 << (n - low)):
-        row = int.from_bytes(raw[h * row_bytes : (h + 1) * row_bytes], "little")
+    out = {0: sum(row.bit_count() for row in rows)}
+    for h, row in enumerate(rows):
         if row:
             steps = [
                 (1 << i, mask)
@@ -240,17 +284,17 @@ def _superset_moebius(all_true, positions):
     return counts
 
 
-def _pattern_counts(n, k, bitmap):
+def _pattern_counts(n, k, rows):
     """(subset, counts) for every k-subset of range(n), in colex order.
 
-    counts[b] is the number of assignments in the 2^n-bit bitmap whose
+    counts[b] is the number of assignments in the rows whose
     values on subset form pattern b (bit i of b is the value of subset[i],
     the Clause.forbidden convention): the superset Moebius transform of the
     subset's 2^k all-True counts.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    all_true = _all_true_counts(n, bitmap, range(n), k)
+    all_true = _all_true_counts(n, rows, range(n), k)
     return (
         (subset, _superset_moebius(all_true, subset))
         for subset in iter_ksubsets_colex(n, k)
@@ -260,53 +304,78 @@ def _pattern_counts(n, k, bitmap):
 class Space:
     """Enumerated solution space with popcount-based exact queries.
 
-    `select` is the one map from a uniform rank to a solution; `restrict`
-    conditions the space on a pinning, so a draw from the restricted space
-    is a uniform solution agreeing with it.
+    The solutions are held as an immutable tuple of 2^L-bit rows (see the
+    module docstring); `bitmap` joins them into one 2^n-bit int on every
+    read.  `select` is the one map from a uniform rank to a solution;
+    `restrict` conditions the space on a pinning, so a draw from the
+    restricted space is a uniform solution agreeing with it.
     """
 
     def __init__(self, formula: CnfFormula, limit=None):
+        lim = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
+        if formula.n > lim:
+            raise EnumerationLimitError(
+                "n=%d exceeds the enumeration limit %d" % (formula.n, lim)
+            )
+        self._set(formula, _solution_rows(formula.n, formula.clauses))
+
+    def _set(self, formula, rows):
         self.formula = formula
         self.n = formula.n
-        self.bitmap = solution_bitmap(formula, limit=limit)
-        self.count = self.bitmap.bit_count()
+        self._rows = rows
+        self.count = sum(row.bit_count() for row in rows)
+
+    @property
+    def bitmap(self) -> int:
+        """The 2^n-bit solution bitmap, joined from the rows (not cached)."""
+        return _join(self._rows)
 
     def restrict(self, pinning) -> Space:
         """The solutions agreeing with `pinning` (variable -> value).
 
-        The bitmap is this one ANDed with the pinning's cylinder, without a
-        rebuild; the formula gains one unit clause per pinned variable, so
-        it has exactly these solutions.  An infeasible pinning gives an
-        empty space; a variable outside [0, n) raises ValueError.
+        Each row is ANDed with the pinning's low cylinder or, if its high
+        pattern disagrees, dropped to 0, without a rebuild; the formula
+        gains one unit clause per pinned variable, so it has exactly these
+        solutions.  An infeasible pinning gives an empty space; a variable
+        outside [0, n) raises ValueError.
         """
-        bitmap = self.bitmap & pinning_bitmap(self.n, pinning)
-        units = tuple(
-            Clause.from_literals([(v, not pinning[v])]) for v in sorted(pinning)
-        )
+        vs, pattern = _pinned(pinning)
+        cyl, mask, pat = _split(self.n, vs, pattern)
+        units = tuple(Clause.from_literals([(v, not pinning[v])]) for v in vs)
         sub = Space.__new__(Space)
-        sub.formula = CnfFormula(self.n, self.formula.clauses + units)
-        sub.n = self.n
-        sub.bitmap = bitmap
-        sub.count = bitmap.bit_count()
+        sub._set(
+            CnfFormula(self.n, self.formula.clauses + units),
+            tuple(row & cyl if h & mask == pat else 0 for h, row in enumerate(self._rows)),
+        )
         return sub
 
     def __contains__(self, assignment) -> bool:
         """True iff the packed assignment is a solution."""
-        return 0 <= assignment < 1 << self.n and bool((self.bitmap >> assignment) & 1)
+        low = min(self.n, _LOW_BITS)
+        return 0 <= assignment < 1 << self.n and bool(
+            (self._rows[assignment >> low] >> (assignment & ((1 << low) - 1))) & 1
+        )
 
     def issubset(self, other: Space) -> bool:
         """True iff every solution of this space is a solution of `other`."""
-        return not self.bitmap & ~other.bitmap
+        if self.n != other.n:
+            return not self.bitmap & ~other.bitmap
+        return not any(a & ~b for a, b in zip(self._rows, other._rows))
 
     def pattern_counts(self, k):
         """(subset, counts) for every k-subset of the variables, in colex
         order; counts[b] is the number of solutions whose values on subset
         form pattern b (bit i of b is the value of subset[i])."""
-        return _pattern_counts(self.n, k, self.bitmap)
+        return _pattern_counts(self.n, k, self._rows)
 
     def count_matching(self, vs, pattern: int) -> int:
         """Number of solutions matching `pattern` on variable tuple `vs`."""
-        return (self.bitmap & _cylinder(self.n, vs, pattern)).bit_count()
+        cyl, mask, pat = _split(self.n, vs, pattern)
+        return sum(
+            (row & cyl).bit_count()
+            for h, row in enumerate(self._rows)
+            if h & mask == pat
+        )
 
     def counts_by_pattern(self, vs):
         """Solution counts for all 2^k patterns on `vs` in one sweep.
@@ -315,21 +384,22 @@ class Space:
         matching the Clause.forbidden convention; a repeated variable
         counts 0 under the patterns that give its copies different values.
         """
-        all_true = _all_true_counts(self.n, self.bitmap, vs, len(vs))
+        all_true = _all_true_counts(self.n, self._rows, vs, len(vs))
         return _superset_moebius(all_true, range(len(vs)))
 
     @functools.cached_property
     def _select_index(self):
-        """The bitmap in 4096-bit blocks, and the solution count before each
+        """The rows in 4096-bit blocks, and the solution count before each
         block (one more entry: the total)."""
-        nbytes = max(1, ((1 << self.n) + 7) // 8)
-        raw = self.bitmap.to_bytes(nbytes, "little")
+        row_bytes = max(1, (1 << min(self.n, _LOW_BITS)) >> 3)
         blocks = []
         cumulative = [0]
-        for off in range(0, nbytes, _BLOCK_BYTES):
-            chunk = int.from_bytes(raw[off : off + _BLOCK_BYTES], "little")
-            blocks.append(chunk)
-            cumulative.append(cumulative[-1] + chunk.bit_count())
+        for row in self._rows:
+            raw = row.to_bytes(row_bytes, "little")
+            for off in range(0, row_bytes, _BLOCK_BYTES):
+                chunk = int.from_bytes(raw[off : off + _BLOCK_BYTES], "little")
+                blocks.append(chunk)
+                cumulative.append(cumulative[-1] + chunk.bit_count())
         return blocks, cumulative
 
     def select(self, rank: int) -> int:
@@ -442,17 +512,20 @@ def marginals(formula, limit=None):
     """Pr[X(v) = True] for every variable, as exact fractions: the
     all-True counts of the single variables."""
     space = _space(formula, limit, _UNSAT)
-    ones = _all_true_counts(space.n, space.bitmap, range(space.n), 1)
+    ones = _all_true_counts(space.n, space._rows, range(space.n), 1)
     return [Fraction(ones.get(1 << v, 0), space.count) for v in range(space.n)]
 
 
 def conditional_prob(formula, condition, event, limit=None) -> Fraction:
     """Exact Pr[X agrees with event | X agrees with condition] under the
     uniform solution distribution."""
-    base = _space(formula, limit, _UNSAT).restrict(condition)
-    if base.count == 0:
+    space = _space(formula, limit, _UNSAT)
+    cvs, cpat = _pinned(condition)
+    given = space.count_matching(cvs, cpat)
+    if given == 0:
         raise InfeasiblePinningError("conditioning event has zero mass")
-    return Fraction(base.restrict(event).count, base.count)
+    evs, epat = _pinned(event)
+    return Fraction(space.count_matching(cvs + evs, cpat | epat << len(cvs)), given)
 
 
 def forbidden_pattern_prob(formula, cstar: Clause, limit=None) -> Fraction:
@@ -473,7 +546,7 @@ def tv_distance(a, b, limit=None) -> Fraction:
     sa = _space(a, limit, _UNSAT)
     sb = _space(b, limit, _UNSAT)
     na, nb = sa.count, sb.count
-    inter = (sa.bitmap & sb.bitmap).bit_count()
+    inter = sum((x & y).bit_count() for x, y in zip(sa._rows, sb._rows))
     total = (
         inter * abs(Fraction(1, na) - Fraction(1, nb))
         + Fraction(na - inter, na)
@@ -502,7 +575,7 @@ def equivalent(a, b, limit=None) -> bool:
     """True iff the two formulas have the same solution set."""
     if a.n != b.n:
         raise ValueError("variable counts differ: %d vs %d" % (a.n, b.n))
-    return _space(a, limit).bitmap == _space(b, limit).bitmap
+    return _space(a, limit)._rows == _space(b, limit)._rows
 
 
 @dataclass(frozen=True)
@@ -528,12 +601,14 @@ def verify_gadget_counts(k, ell, limit=None) -> GadgetCountReport:
     """
     su = Space(gen_gadget(GadgetSpec(k, ell, False)), limit=limit)
     sr = Space(gen_gadget(GadgetSpec(k, ell, True)), limit=limit)
-    extra_bits = su.bitmap & ~sr.bitmap & ((1 << (1 << su.n)) - 1)
+    low = min(su.n, _LOW_BITS)
     extra = []
-    while extra_bits:
-        low_bit = extra_bits & -extra_bits
-        extra.append(low_bit.bit_length() - 1)
-        extra_bits ^= low_bit
+    for h, (a, b) in enumerate(zip(su._rows, sr._rows)):
+        extra_bits = a & ~b
+        while extra_bits:
+            low_bit = extra_bits & -extra_bits
+            extra.append(h << low | low_bit.bit_length() - 1)
+            extra_bits ^= low_bit
     ratio = Fraction(sr.count, su.count)
     lower = 1 - Fraction(1, 1 << ((k - 2) * ell))
     upper = 1 - Fraction(1, 1 << (k * ell))

@@ -219,6 +219,24 @@ def shift_doubling_bitmap(n, clauses):
     return ((1 << (1 << n)) - 1) ^ viol
 
 
+def pinning_bitmap(n, pinning):
+    """2^n-bit bitmap of the packed assignments agreeing with the pinning
+    (variable -> value): the one assignment that spells the pinning,
+    doubled along every variable it leaves free.  A variable outside
+    [0, n) raises ValueError."""
+    base = 0
+    for v, x in pinning.items():
+        if not 0 <= v < n:
+            raise ValueError("variable %d out of range [0, %d)" % (v, n))
+        if x:
+            base |= 1 << v
+    bitmap = 1 << base
+    for w in range(n):
+        if w not in pinning:
+            bitmap |= bitmap << (1 << w)
+    return bitmap
+
+
 # Revealing-process predicates.  sigma is a partial assignment {var: bool};
 # v_bad and c_bad are sets of variables and of clause indices.
 

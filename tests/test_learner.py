@@ -41,7 +41,7 @@ from cnflab.solutions import (
     solution_bitmap,
 )
 
-from util import F, bits, count_bitmap_builds, pos
+from util import F, bits, count_bitmap_builds, pos, to_rows
 
 
 def oracle_learn(n, k, samples):
@@ -155,7 +155,7 @@ def counted_bitmaps(draw):
 @given(counted_bitmaps())
 def test_pattern_counts_match_brute_force(case):
     n, k, full = case
-    walk = list(solutions._pattern_counts(n, k, full))
+    walk = list(solutions._pattern_counts(n, k, to_rows(n, full)))
     assert [subset for subset, _ in walk] == colex_subsets(n, k)
     items, rest = [], full
     while rest:

@@ -35,7 +35,7 @@ from cnflab import (
     tv_distance,
     verify_gadget_counts,
 )
-from cnflab.solutions import _LOW_BITS, pinning_bitmap, solution_bitmap
+from cnflab.solutions import _LOW_BITS, solution_bitmap
 
 import naive
 from util import F, pos, neg, to_naive, bits, from_bits
@@ -148,7 +148,7 @@ def _agrees(a, pinning):
 def test_pinning_bitmap_matches_definition(case):
     n, pinning = case
     expected = sum(1 << a for a in range(1 << n) if _agrees(a, pinning))
-    assert pinning_bitmap(n, pinning) == expected
+    assert naive.pinning_bitmap(n, pinning) == expected
 
 
 @settings(max_examples=50, deadline=None)
@@ -188,11 +188,13 @@ def test_out_of_range_variables_raise():
     f = CnfFormula(3, ())
     with pytest.raises(ValueError, match="variable 5 out of range"):
         conditional_prob(f, {0: True}, {5: False})
-    with pytest.raises(ValueError, match="variable 3 out of range"):
-        pinning_bitmap(3, {3: True})
-    with pytest.raises(ValueError, match="variable -1 out of range"):
-        pinning_bitmap(3, {-1: True})
     space = Space(f)
+    with pytest.raises(ValueError, match="variable 3 out of range"):
+        space.restrict({3: True})
+    with pytest.raises(ValueError, match="variable -1 out of range"):
+        space.restrict({-1: True, 0: False})
+    with pytest.raises(ValueError, match="variable 3 out of range"):
+        space.count_matching((1, 1, 3), 0b010)
     with pytest.raises(ValueError, match="variable 3 out of range"):
         space.counts_by_pattern((3,))
     with pytest.raises(ValueError, match="variable -1 out of range"):
@@ -350,7 +352,7 @@ def test_select_matches_sorted_set_bits(f):
 
 
 def test_pinning_bitmap_and_restrict():
-    bm = pinning_bitmap(3, {0: True})
+    bm = naive.pinning_bitmap(3, {0: True})
     assert bm == sum(1 << a for a in range(8) if a & 1)
     sub = Space(CnfFormula(3, ())).restrict({0: True})
     assert sub.bitmap == bm and sub.count == 4
@@ -373,7 +375,7 @@ def test_restrict_matches_definition(case, seed):
     space = Space(f)
     sub = space.restrict(pinning)
     expected = [a for a in range(1 << n) if f.satisfied_by(a) and _agrees(a, pinning)]
-    assert sub.bitmap == space.bitmap & pinning_bitmap(n, pinning)
+    assert sub.bitmap == space.bitmap & naive.pinning_bitmap(n, pinning)
     assert Space(sub.formula).bitmap == sub.bitmap
     assert sub.count == len(expected)
     assert [sub.select(r) for r in range(sub.count)] == expected
@@ -390,6 +392,108 @@ def test_restrict_select_order_across_blocks():
     assert len({a >> 12 for a in expected}) > 1  # several select blocks
     assert [sub.select(r) for r in range(sub.count)] == expected
     assert Space(sub.formula).bitmap == sub.bitmap
+
+
+def _nth_set_bit(bitmap, rank):
+    """Position of the rank-th set bit (0-based) of a nonnegative int, by
+    bisecting on the popcount of its low bits."""
+    lo, hi = 0, bitmap.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (bitmap & ((2 << mid) - 1)).bit_count() > rank:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _matching(n, bitmap, vs, pattern):
+    """The assignments of bitmap whose values on vs spell pattern, through
+    the naive pinning (0 if a repeated variable gets two values)."""
+    pinning = {}
+    for i, v in enumerate(vs):
+        x = bool((pattern >> i) & 1)
+        if pinning.setdefault(v, x) != x:
+            return 0
+    return bitmap & naive.pinning_bitmap(n, pinning)
+
+
+def _check_row_queries(f, pinning, vs, pattern, cut, fraction):
+    """Every row-wise query of Space(f) against the shift-doubling bitmap:
+    restrict (bitmap and select order at three ranks), count_matching,
+    membership at the row edges and at each row's first and last solution,
+    and issubset, tv_distance and equivalent against f without its clauses
+    from `cut` on (a superset of solutions)."""
+    n = f.n
+    ref = naive.shift_doubling_bitmap(n, _plain(f.clauses))
+    space = Space(f)
+    assert space.count == ref.bit_count()
+
+    sub = space.restrict(pinning)
+    expected = _matching(n, ref, tuple(pinning), sum(
+        1 << i for i, v in enumerate(pinning) if pinning[v]))
+    assert sub.bitmap == expected and sub.count == expected.bit_count()
+    if sub.count:
+        for rank in {0, sub.count - 1, int(fraction * (sub.count - 1))}:
+            assert sub.select(rank) == _nth_set_bit(expected, rank)
+
+    assert space.count_matching(vs, pattern) == _matching(n, ref, vs, pattern).bit_count()
+
+    # both ends of every row, and its lowest and highest solution
+    low = min(n, _LOW_BITS)
+    probes = {-1, 1 << n}
+    for h in range(1 << (n - low)):
+        row = (ref >> (h << low)) & ((1 << (1 << low)) - 1)
+        ends = {0, (1 << low) - 1}
+        if row:
+            ends |= {(row & -row).bit_length() - 1, row.bit_length() - 1}
+        probes |= {h << low | x for x in ends}
+    for a in probes:
+        assert (a in space) == (0 <= a and bool((ref >> a) & 1))
+
+    wider = CnfFormula(n, f.clauses[:cut])
+    ref_wider = naive.shift_doubling_bitmap(n, _plain(wider.clauses))
+    other = Space(wider)
+    assert space.issubset(other)
+    assert other.issubset(space) == (not ref_wider & ~ref)
+    assert equivalent(space, wider) == (ref == ref_wider)
+    if ref:
+        # the uniform distributions on A within B are 1 - |A|/|B| apart
+        assert tv_distance(space, other) == 1 - Fraction(ref.bit_count(), ref_wider.bit_count())
+
+
+@st.composite
+def row_queries(draw):
+    """A bitmap_formulas() formula (n 0..20) with a pinning on its low
+    (< 16), high or mixed variables, a count_matching tuple that may repeat
+    a low and a high variable, a clause cut and a rank fraction."""
+    f = draw(bitmap_formulas())
+    low, high = list(range(min(f.n, _LOW_BITS))), list(range(_LOW_BITS, f.n))
+    pools = [p for p in (low, high, low + high) if p]
+    pool = draw(st.sampled_from(pools)) if pools else []
+    pinned = draw(st.lists(st.sampled_from(pool), max_size=5, unique=True)) if pool else []
+    pinning = {v: draw(st.booleans()) for v in pinned}
+    vs = draw(st.lists(st.sampled_from(pool), max_size=5)) if pool else []
+    if low and high and draw(st.booleans()):
+        lv, hv = draw(st.sampled_from(low)), draw(st.sampled_from(high))
+        vs += [lv, hv, lv, hv]
+    pattern = draw(st.integers(0, (1 << len(vs)) - 1))
+    cut = draw(st.integers(0, len(f.clauses)))
+    return f, pinning, tuple(vs), pattern, cut, draw(st.fractions(0, 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(row_queries())
+def test_row_queries_match_shift_doubling_reference(case):
+    _check_row_queries(*case)
+
+
+def test_row_queries_match_reference_on_dense_n25():
+    f = gen_random_cnf(RandomCnfSpec(3, 25, 3.0, "rows"))
+    _check_row_queries(
+        f, {2: True, 9: False, 17: True, 24: False}, (3, 20, 3, 20, 24), 0b00101,
+        len(f.clauses) - 4, Fraction(1, 3),
+    )
 
 
 def test_sample_uniform_deterministic_and_valid():

@@ -49,14 +49,24 @@ def from_bits(values):
 
 
 def count_bitmap_builds(monkeypatch):
-    """Record the variable count of every solution bitmap built from here on
-    (each call of solutions._bitmap); returns the growing list."""
+    """Record the variable count of every solution space built from here on
+    (each call of the row builder solutions._solution_rows); returns the
+    growing list."""
     builds = []
-    build = solutions._bitmap
+    build = solutions._solution_rows
 
     def counting(nbits, clauses):
         builds.append(nbits)
         return build(nbits, clauses)
 
-    monkeypatch.setattr(solutions, "_bitmap", counting)
+    monkeypatch.setattr(solutions, "_solution_rows", counting)
     return builds
+
+
+def to_rows(n, bitmap):
+    """A 2^n-bit bitmap as the engine's rows: 2^(n-16) slices of 2^16 bits,
+    lowest first, or the bitmap itself as the one row for n <= 16."""
+    if n <= 16:
+        return (bitmap,)
+    mask = (1 << (1 << 16)) - 1
+    return tuple((bitmap >> (h << 16)) & mask for h in range(1 << (n - 16)))
