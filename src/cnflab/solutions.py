@@ -359,7 +359,8 @@ class Space:
     def issubset(self, other: Space) -> bool:
         """True iff every solution of this space is a solution of `other`."""
         if self.n != other.n:
-            return not self.bitmap & ~other.bitmap
+            raise ValueError(
+                "variable counts differ: %d vs %d" % (self.n, other.n))
         return not any(a & ~b for a, b in zip(self._rows, other._rows))
 
     def pattern_counts(self, k):

@@ -199,6 +199,8 @@ def test_out_of_range_variables_raise():
         space.counts_by_pattern((3,))
     with pytest.raises(ValueError, match="variable -1 out of range"):
         space.count_matching((0, -1), 0)
+    with pytest.raises(ValueError, match="variable counts differ: 3 vs 4"):
+        space.issubset(Space(CnfFormula(4, ())))
 
 
 @pytest.mark.parametrize("bad", [18, 20, -1])

@@ -64,9 +64,8 @@ def count_bitmap_builds(monkeypatch):
 
 
 def to_rows(n, bitmap):
-    """A 2^n-bit bitmap as the engine's rows: 2^(n-16) slices of 2^16 bits,
-    lowest first, or the bitmap itself as the one row for n <= 16."""
-    if n <= 16:
-        return (bitmap,)
-    mask = (1 << (1 << 16)) - 1
-    return tuple((bitmap >> (h << 16)) & mask for h in range(1 << (n - 16)))
+    """A 2^n-bit bitmap as the engine's rows: 2^(n-L) slices of 2^L bits,
+    lowest first, where L = min(n, solutions._LOW_BITS)."""
+    low = min(n, solutions._LOW_BITS)
+    mask = (1 << (1 << low)) - 1
+    return tuple((bitmap >> (h << low)) & mask for h in range(1 << (n - low)))
