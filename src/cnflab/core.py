@@ -178,6 +178,19 @@ class CnfFormula:
     def params(self) -> KdsParams:
         return kds_parameters(self)
 
+    @functools.cached_property
+    def by_var(self) -> dict:
+        """Variable -> ascending tuple of the indices of the
+        non-tautological clauses holding it; a variable in no such clause
+        is absent.  Built once per formula and shared by every reader, so
+        it must not be mutated (`structure.var_to_clauses` gives a copy)."""
+        out = {}
+        for i, c in enumerate(self.clauses):
+            if not c.tautology:
+                for v in c.vars:
+                    out.setdefault(v, []).append(i)
+        return {v: tuple(ix) for v, ix in out.items()}
+
     def satisfied_by(self, assignment: int) -> bool:
         return all(c.satisfied_by(assignment) for c in self.clauses)
 
@@ -234,16 +247,12 @@ def kds_parameters(formula: CnfFormula) -> KdsParams:
 
     Zeros for the empty formula.  s_max is the largest variable-set overlap
     over distinct clause index pairs, found by counting pair co-occurrences
-    through a variable-to-clauses index.
+    through the formula's variable-to-clauses index.
     """
-    real = [(i, c) for i, c in enumerate(formula.clauses) if not c.tautology]
-    if not real:
+    sizes = [c.size for c in formula.clauses if not c.tautology]
+    if not sizes:
         return KdsParams(0, 0, 0, 0)
-    sizes = [c.size for _, c in real]
-    by_var = {}
-    for i, c in real:
-        for v in c.vars:
-            by_var.setdefault(v, []).append(i)
+    by_var = formula.by_var
     d_max = max(len(ix) for ix in by_var.values()) if by_var else 0
     pair_counts = {}
     for ix in by_var.values():

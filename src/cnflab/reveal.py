@@ -15,6 +15,7 @@ Tautological clauses are always satisfied and are ignored throughout.
 from __future__ import annotations
 
 import copy
+import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .core import (
 )
 from .rand import SeededRng
 from .solutions import _UNSAT, _space
-from .structure import BadSets, identify_bad, modified_bad_sets, var_to_clauses
+from .structure import BadSets, identify_bad, modified_bad_sets
 
 
 @dataclass(frozen=True)
@@ -67,25 +68,48 @@ class _RevealState:
     the number of frozen clauses containing it.  `pin` takes an alive
     variable, which lies in no frozen clause, and updates only its clauses;
     so a frozen clause is never pinned again and stays frozen.
+
+    The first `step` grows the associated component from c0 and keeps it,
+    with its extension and a min-heap of the extension's alive variables.
+    Later steps extend them instead of walking them again.  That is sound
+    because the variable a step pins is alive, so it lies in no component
+    clause: not in a bad one (bad clauses hold only bad variables), not in
+    a frozen one (its frozen count is 0), and not in a blocked one (it is an
+    unpinned good variable outside every frozen clause).  Pinning it
+    therefore keeps every component clause bad, frozen or blocked and every
+    linking variable unpinned: along one run the component and its
+    extension only grow, and the alive set only shrinks, so a variable
+    popped from the heap as dead never comes back.
     """
 
     def __init__(self, formula, sigma, bad, zeta, k):
         self.formula = formula
         self.bad = bad
         self.limit = zeta * _resolve_k(formula, k)
-        self.by_var = var_to_clauses(formula)
+        self.by_var = formula.by_var
         self.sigma = dict(sigma)
         m = len(formula.clauses)
-        self.satisfied = [False] * m
+        self.satisfied = [True] * m
         self.good = [0] * m
         self.frozen = [False] * m
         self.frozen_count = [0] * formula.n
+        v_bad = bad.v_bad
         for i, c in enumerate(formula.clauses):
-            if c.tautology or clause_status(c, sigma).kind == SATISFIED:
-                self.satisfied[i] = True
+            if c.tautology:
+                continue
+            good = 0
+            for bit, v in enumerate(c.vars):
+                if v not in sigma:
+                    good += v not in v_bad
+                elif bool(sigma[v]) != bool((c.forbidden >> bit) & 1):
+                    break  # satisfied
             else:
-                self.good[i] = len(_unpinned_good(c, sigma, bad))
+                self.satisfied[i] = False
+                self.good[i] = good
                 self._freeze_if_due(i)
+        self.component = set()  # empty until the first step
+        self.ext = set()
+        self.heap = []
 
     def copy(self):
         other = copy.copy(self)
@@ -94,6 +118,9 @@ class _RevealState:
         other.good = self.good[:]
         other.frozen = self.frozen[:]
         other.frozen_count = self.frozen_count[:]
+        other.component = set(self.component)
+        other.ext = set(self.ext)
+        other.heap = self.heap[:]
         return other
 
     def _freeze_if_due(self, i):
@@ -119,45 +146,67 @@ class _RevealState:
 
     def blocked(self, i):
         """Good, unsatisfied, above the frozen threshold, and every unpinned
-        good variable lies in some frozen clause; tested on demand."""
-        return (
-            not self.satisfied[i] and not self.frozen[i] and i not in self.bad.c_bad
-            and all(self.frozen_count[v]
-                    for v in _unpinned_good(self.formula.clauses[i], self.sigma, self.bad))
+        good variable lies in some frozen clause, i.e. no variable of it is
+        alive; tested on demand."""
+        return not (
+            self.satisfied[i] or self.frozen[i] or i in self.bad.c_bad
+            or any(map(self.alive, self.formula.clauses[i].vars))
         )
 
-    def component(self, c_index):
-        """Closure of c_index under frozen, blocked and bad clauses sharing
-        an unpinned variable, and that closure plus its unpinned
-        neighborhood, as sets."""
-        clauses, sigma, c_bad = self.formula.clauses, self.sigma, self.bad.c_bad
-        component = {c_index}
-        stack = [c_index]
+    def _absorbable(self, i):
+        return i in self.bad.c_bad or self.frozen[i] or self.blocked(i)
+
+    def _extend(self, i):
+        """Add clause i to the extension and its alive variables to the
+        heap; a variable dead now stays dead, so it is never needed."""
+        self.ext.add(i)
+        for v in filter(self.alive, self.formula.clauses[i].vars):
+            heapq.heappush(self.heap, v)
+
+    def _close(self, stack):
+        """Close the component over the clauses on the stack (already
+        members): every clause sharing an unpinned variable with a member
+        joins the extension, and the bad, frozen and blocked ones join the
+        component and are walked in turn.
+
+        Only a clause new to the extension is tested: the others were
+        tested under this same state, when the step re-examined them.
+        """
+        clauses, sigma, by_var = self.formula.clauses, self.sigma, self.by_var
+        component, ext = self.component, self.ext
         while stack:
             j = stack.pop()
             for v in clauses[j].vars:
                 if v in sigma:
                     continue
-                for w in self.by_var.get(v, ()):
-                    if w not in component and (
-                        w in c_bad or self.frozen[w] or self.blocked(w)
-                    ):
-                        component.add(w)
-                        stack.append(w)
-        neighborhood = set(component)
-        for j in component:
-            for v in clauses[j].vars:
-                if v not in sigma:
-                    neighborhood.update(self.by_var.get(v, ()))
-        return component, neighborhood
+                for w in by_var.get(v, ()):
+                    if w not in ext:
+                        self._extend(w)
+                        if self._absorbable(w):
+                            component.add(w)
+                            stack.append(w)
 
     def step(self, c0):
         """c0's associated component and the smallest alive variable of its
-        extended component (None when there is none)."""
-        component, ext = self.component(c0)
-        clauses = self.formula.clauses
-        alive = [v for j in ext for v in clauses[j].vars if self.alive(v)]
-        return component, min(alive, default=None)
+        extended component (None when there is none).
+
+        The first call grows the component from {c0}; a later one, after
+        pins of the variables earlier calls returned, re-examines only the
+        extension clauses outside the component and closes over those that
+        have become frozen or blocked.  The returned set is the state's own.
+        """
+        if self.component:
+            due = [i for i in self.ext
+                   if i not in self.component and self._absorbable(i)]
+        else:
+            due = [c0]
+            self._extend(c0)
+        self.component.update(due)
+        self._close(due)
+        heap = self.heap
+        while heap and not self.alive(heap[0]):
+            heapq.heappop(heap)
+        return self.component, heap[0] if heap else None
 
 
 def classify_clauses(formula: CnfFormula, sigma, bad: BadSets, zeta,
@@ -202,8 +251,8 @@ def associated_component(formula: CnfFormula, sigma, bad: BadSets, zeta,
     if c_index not in bad.c_bad:
         raise ValueError("clause %d is not in the bad set" % c_index)
     state = _RevealState(formula, sigma, bad, zeta, k)
-    component, ext = state.component(c_index)
-    return tuple(sorted(component)), tuple(sorted(ext))
+    component, _ = state.step(c_index)
+    return tuple(sorted(component)), tuple(sorted(state.ext))
 
 
 EARLY_SPARSE = "sparse-alpha"
@@ -230,9 +279,8 @@ def _start(formula, target, prefix, params):
     if k == 0 or params.alpha < 1 / k**3:
         return k, EARLY_SPARSE, None, None
     c0 = next((
-        i for i, c in enumerate(formula.clauses)
-        if not c.tautology and target in c.vars
-        and clause_status(c, prefix).kind != SATISFIED
+        i for i in formula.by_var.get(target, ())
+        if clause_status(formula.clauses[i], prefix).kind != SATISFIED
     ), None)
     if c0 is None:
         return k, EARLY_NO_CLAUSE, None, None
@@ -265,6 +313,8 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
     associated component is satisfied or shares no unpinned variable with
     it.  Violations raise CnfError.
     """
+    if not 0 <= tau < 1 << formula.n:
+        raise ValueError("tau %d out of range [0, 2^%d)" % (tau, formula.n))
     if not formula.satisfied_by(tau):
         raise ValueError("tau must be a satisfying assignment")
     for v, value in prefix.items():
@@ -278,6 +328,7 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
     if early is not None:
         return _early(prefix, early)
     sigma, bad = state.sigma, state.bad
+    clauses, by_var = formula.clauses, formula.by_var
     trace = []
     while True:
         component, v = state.step(c0_index)
@@ -287,28 +338,20 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
         trace.append(v)
         if check_invariants:
             floor_needed = params.zeta * k - 1
-            for i, c in enumerate(formula.clauses):
-                if c.tautology or i in bad.c_bad or v not in c.vars:
-                    continue
-                if clause_status(c, sigma).kind == SATISFIED:
+            for i in by_var[v]:
+                c = clauses[i]
+                if i in bad.c_bad or clause_status(c, sigma).kind == SATISFIED:
                     continue
                 if not len(_unpinned_good(c, sigma, bad)) > floor_needed:
                     raise CnfError(
                         "revealing %d froze clause %d below the threshold" % (v, i)
                     )
     if check_invariants:
-        comp_vars = set()
-        comp_unpinned = set()
-        for j in component:
-            comp_vars.update(formula.clauses[j].vars)
-            comp_unpinned.update(
-                v for v in formula.clauses[j].vars if v not in sigma
-            )
-        for i, c in enumerate(formula.clauses):
-            if c.tautology or i in component:
-                continue
-            if not comp_vars.intersection(c.vars):
-                continue
+        comp_vars = {v for j in component for v in clauses[j].vars}
+        comp_unpinned = {v for v in comp_vars if v not in sigma}
+        near = {i for v in comp_vars for i in by_var.get(v, ())}
+        for i in sorted(near.difference(component)):
+            c = clauses[i]
             if clause_status(c, sigma).kind == SATISFIED:
                 continue
             if any(v in comp_unpinned for v in c.vars if v not in sigma):
@@ -353,7 +396,7 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
         if not 0 <= v < formula.n:
             raise ValueError("pinned variable %d out of range" % v)
     clauses = formula.clauses
-    by_var = var_to_clauses(formula)
+    by_var = formula.by_var
     holding = () if target in tau_S else by_var.get(target, ())
     start = next(
         (i for i in holding if clause_status(clauses[i], tau_S).kind != SATISFIED),

@@ -390,18 +390,24 @@ class Space:
 
     @functools.cached_property
     def _select_index(self):
-        """The rows in 4096-bit blocks, and the solution count before each
-        block (one more entry: the total)."""
+        """The nonzero 4096-bit blocks of the rows, the assignment each one
+        starts at, and the solution count before each block (one more
+        entry: the total).  An all-zero row is skipped without being cut."""
         row_bytes = max(1, (1 << min(self.n, _LOW_BITS)) >> 3)
         blocks = []
+        starts = []
         cumulative = [0]
-        for row in self._rows:
+        for h, row in enumerate(self._rows):
+            if not row:
+                continue
             raw = row.to_bytes(row_bytes, "little")
             for off in range(0, row_bytes, _BLOCK_BYTES):
                 chunk = int.from_bytes(raw[off : off + _BLOCK_BYTES], "little")
-                blocks.append(chunk)
-                cumulative.append(cumulative[-1] + chunk.bit_count())
-        return blocks, cumulative
+                if chunk:
+                    blocks.append(chunk)
+                    starts.append((h * row_bytes + off) * 8)
+                    cumulative.append(cumulative[-1] + chunk.bit_count())
+        return blocks, starts, cumulative
 
     def select(self, rank: int) -> int:
         """The rank-th solution in increasing assignment order (0-based).
@@ -413,11 +419,11 @@ class Space:
         """
         if not 0 <= rank < self.count:
             raise IndexError("rank out of range")
-        blocks, cumulative = self._select_index
+        blocks, starts, cumulative = self._select_index
         b = bisect.bisect_right(cumulative, rank) - 1
         remaining = rank - cumulative[b]
         chunk = blocks[b]
-        pos = b * _BLOCK_BYTES * 8
+        pos = starts[b]
         for width, mask in _HALVES:
             low = (chunk & mask).bit_count()
             if remaining >= low:
@@ -427,9 +433,8 @@ class Space:
         return pos
 
     def iter_solutions(self):
-        blocks, _ = self._select_index
-        for bi, chunk in enumerate(blocks):
-            base = bi * _BLOCK_BYTES * 8
+        blocks, starts, _ = self._select_index
+        for base, chunk in zip(starts, blocks):
             while chunk:
                 low_bit = chunk & -chunk
                 yield base + low_bit.bit_length() - 1

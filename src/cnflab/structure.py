@@ -47,19 +47,26 @@ def _active_clauses(formula):
 
 
 def var_to_clauses(formula):
-    """Map variable -> sorted indices of non-tautological clauses using it."""
-    out = {}
-    for i, c in _active_clauses(formula):
-        for v in c.vars:
-            out.setdefault(v, []).append(i)
-    return out
+    """Map variable -> sorted indices of non-tautological clauses using it.
+
+    A fresh dict of lists copied from the formula's cached index
+    `CnfFormula.by_var`, so a caller may change it freely; the library
+    itself reads that index, built once per formula.  The revealing process
+    walks it only around the component it grows: each step pins an alive
+    variable, which lies in no component clause (bad clauses hold only bad
+    variables, frozen ones none with frozen count 0, blocked ones no
+    unpinned good variable outside a frozen clause), so every component
+    clause stays bad, frozen or blocked, every linking variable stays
+    unpinned, and along one run the component and its extension only grow.
+    """
+    return {v: list(ix) for v, ix in formula.by_var.items()}
 
 
 def clause_adjacency(formula):
     """Dependency-graph adjacency: clause index -> set of clause indices
     sharing at least one variable (tautologies isolated)."""
     adj = {i: set() for i in range(len(formula.clauses))}
-    for v, members in var_to_clauses(formula).items():
+    for members in formula.by_var.values():
         for i in members:
             adj[i].update(members)
     for i in adj:
@@ -110,7 +117,7 @@ def check_pairwise_intersection(formula: CnfFormula, bound) -> PropertyCheck:
     variables.  Pairs are found through the variable index, so disjoint
     clauses cost nothing."""
     shared = {}
-    for v, members in var_to_clauses(formula).items():
+    for members in formula.by_var.values():
         for a, b in itertools.combinations(members, 2):
             shared[(a, b)] = shared.get((a, b), 0) + 1
     explored = len(shared)
@@ -152,7 +159,7 @@ def identify_bad(formula: CnfFormula, p_hd, eps_bd, alpha, k=None) -> BadSets:
     trigger = eps_bd * k
     degrees = formula.variable_degrees()
     v_bad = {v for v in range(formula.n) if degrees[v] > p_hd * alpha}
-    by_var = var_to_clauses(formula)
+    by_var = formula.by_var
     overlap = {
         i: sum(1 for v in c.vars if v in v_bad) for i, c in _active_clauses(formula)
     }

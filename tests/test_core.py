@@ -124,6 +124,27 @@ def test_kds_parameters_edge_cases():
     assert f.params == KdsParams(3, 3, 2, 2)
 
 
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=5),
+             max_size=10),
+)))
+def test_by_var_indexes_the_non_tautological_clauses(case):
+    n, clauses = case
+    f = F(n, *clauses)
+    expected = {}
+    for v in range(n):
+        members = tuple(i for i, c in enumerate(f.clauses)
+                        if not c.tautology and v in c.vars)
+        if members:
+            expected[v] = members
+    assert f.by_var == expected
+    assert f.by_var is f.by_var  # built once per formula
+    degrees = f.variable_degrees()
+    assert f.params.d_max == max(degrees, default=0)
+    assert all(len(f.by_var.get(v, ())) == degrees[v] for v in range(n))
+
+
 def test_variable_degrees_excludes_tautologies():
     taut = Clause.from_literals([(0, False), (0, True), (1, False)])
     f = CnfFormula(3, (Clause.from_literals(pos(0, 2)), taut))

@@ -27,8 +27,8 @@ from cnflab import (
     reveal,
     wilson_interval,
 )
-from cnflab.reveal import RevealResult
-from cnflab.structure import BadSets, EMPTY_BAD_SETS
+from cnflab.reveal import RevealResult, _start
+from cnflab.structure import BadSets, EMPTY_BAD_SETS, var_to_clauses
 
 import naive
 from util import F, bits, pos, neg, from_bits, to_naive
@@ -210,6 +210,97 @@ def test_reveal_matches_per_step_oracle(run):
         assert list(r.tau_S.items()) == list(tau_S.items())
 
 
+def _state_fields(state):
+    return set(state.component), set(state.ext), list(state.heap)
+
+
+def _run_state(f, tau, c0, state, oracle=None):
+    """Step and pin the state to the end of its run; with oracle given as
+    (naive clauses, v_bad, c_bad, zeta, k), check at every step that the
+    component and extension equal the from-scratch definition and the
+    picked variable is the smallest alive one of the extension.  Returns
+    the variables pinned."""
+    pinned = []
+    while True:
+        component, v = state.step(c0)
+        if oracle is not None:
+            clauses, v_bad, c_bad, zeta, k = oracle
+            sigma = dict(state.sigma)
+            a, ext = naive.associated_component(
+                f.n, clauses, sigma, v_bad, c_bad, zeta, k, c0)
+            assert (tuple(sorted(component)), tuple(sorted(state.ext))) == (a, ext)
+            ext_vars = {u for i in ext for u, _ in clauses[i] if u not in sigma}
+            alive = naive.alive_variables(f.n, clauses, sigma, v_bad, c_bad, zeta, k)
+            assert v == min(alive & ext_vars, default=None)
+        if v is None:
+            return pinned
+        state.pin(v, bool((tau >> v) & 1))
+        pinned.append(v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(revealing_runs())
+def test_incremental_state_matches_component_oracle_at_every_step(run):
+    n, clauses, tau, target, prefix, params = run
+    f = F(n, *clauses)
+    k, early, c0, state = _start(f, target, prefix, params)
+    if early is not None:
+        return
+    bad = state.bad
+    oracle = (clauses, set(bad.v_bad), set(bad.c_bad), params.zeta, k)
+    pinned = _run_state(f, from_bits(tau), c0, state, oracle)
+    assert tuple(pinned) == reveal(f, from_bits(tau), target, prefix, params).trace
+
+
+def test_stepping_a_copy_leaves_the_original_unchanged():
+    f = gen_linear_cnf(3, 2, 12, "oracle-linear")
+    degrees = f.variable_degrees()
+    target = max(range(f.n), key=lambda v: (degrees[v], -v))
+    params = RevealParams(alpha=1.0, p_hd=100.0, eps_bd=0.5, zeta=0.4)
+    _, clauses = to_naive(f)
+    steps = 0
+    for tau in enumerate_solutions(f).solutions[::7]:
+        k, _, c0, state = _start(f, target, {}, params)
+        bad = state.bad
+        oracle = (clauses, set(bad.v_bad), set(bad.c_bad), params.zeta, k)
+        expected = reveal(f, tau, target, {}, params).trace
+        pinned = []
+        while True:
+            # a copy run to the end from here must not touch this state; the
+            # first one also runs the oracle, over runs longer than drawn ones
+            before = _state_fields(state)
+            rest = _run_state(f, tau, c0, state.copy(), None if pinned else oracle)
+            assert rest == list(expected[len(pinned):])
+            assert _state_fields(state) == before
+            _, v = state.step(c0)
+            if v is None:
+                break
+            state.pin(v, bool((tau >> v) & 1))
+            pinned.append(v)
+        assert tuple(pinned) == expected
+        steps += len(pinned)
+    assert steps > 50
+
+
+def test_var_to_clauses_is_a_copy_of_the_formula_index():
+    f = gen_linear_cnf(3, 2, 12, "oracle-linear")
+    target = f.clauses[0].vars[0]
+    params = RevealParams(alpha=1.0, p_hd=100.0, eps_bd=0.5, zeta=0.4)
+    tau = enumerate_solutions(f).solutions[-1]
+    before = reveal(f, tau, target, {}, params, check_invariants=True)
+    index = dict(f.by_var)
+    out = var_to_clauses(f)
+    assert out == {v: list(ix) for v, ix in index.items()}
+    for members in out.values():
+        members.reverse()
+        members.append(0)
+    out[f.n] = [0]
+    del out[target]
+    assert f.by_var == index
+    assert reveal(f, tau, target, {}, params, check_invariants=True) == before
+    assert var_to_clauses(f) == {v: list(ix) for v, ix in index.items()}
+
+
 @pytest.mark.parametrize("f", [
     gen_linear_cnf(3, 2, 12, "oracle-linear"),
     gen_random_cnf(RandomCnfSpec(3, 10, 1.5, "oracle-random")),
@@ -310,6 +401,20 @@ def test_reveal_validation():
         reveal(GADGET, 0, 1, {1: False}, PARAMS)  # target already pinned
     with pytest.raises(ValueError):
         reveal(GADGET, 0, 17, {}, PARAMS)
+
+
+def test_reveal_rejects_tau_out_of_range():
+    # GADGET has n = 6; tau beyond its bits would pass the clause check,
+    # which reads only bits 0..5
+    sol = max(enumerate_solutions(GADGET).solutions)
+    for tau in (sol - 64, sol + (5 << 6)):
+        assert GADGET.satisfied_by(tau)
+        for check in (False, True):
+            with pytest.raises(ValueError, match=r"tau %d out of range \[0, 2\^6\)" % tau):
+                reveal(GADGET, tau, 0, {}, PARAMS, check_invariants=check)
+    non_solution = next(a for a in range(64) if not GADGET.satisfied_by(a))
+    with pytest.raises(ValueError, match="tau must be a satisfying assignment"):
+        reveal(GADGET, non_solution, 0, {}, PARAMS)
 
 
 @pytest.mark.parametrize("v", [6, 8, -1])

@@ -38,7 +38,7 @@ from cnflab import (
 from cnflab.solutions import _LOW_BITS, solution_bitmap
 
 import naive
-from util import F, pos, neg, to_naive, bits, from_bits
+from util import F, pos, neg, to_naive, bits, from_bits, to_rows
 
 
 def test_enumerate_gadget_pair():
@@ -394,6 +394,64 @@ def test_restrict_select_order_across_blocks():
     assert len({a >> 12 for a in expected}) > 1  # several select blocks
     assert [sub.select(r) for r in range(sub.count)] == expected
     assert Space(sub.formula).bitmap == sub.bitmap
+
+
+def _set_bits(bitmap):
+    """Positions of the set bits of a nonnegative int, ascending."""
+    text = bin(bitmap)[:1:-1]  # bit 0 first
+    out = []
+    a = text.find("1")
+    while a >= 0:
+        out.append(a)
+        a = text.find("1", a + 1)
+    return out
+
+
+def _check_select_against_reference(f):
+    """iter_solutions lists, and select at every 64th rank and both ends
+    finds, exactly the set bits of the shift-doubling bitmap; returns the
+    number of all-zero rows of that bitmap."""
+    ref = naive.shift_doubling_bitmap(f.n, _plain(f.clauses))
+    expected = _set_bits(ref)
+    space = Space(f)
+    assert list(space.iter_solutions()) == expected
+    if expected:
+        step = max(1, len(expected) // 64)
+        for rank in {*range(0, len(expected), step), len(expected) - 1}:
+            assert space.select(rank) == expected[rank]
+    with pytest.raises(IndexError):
+        space.select(len(expected))
+    return sum(1 for row in to_rows(f.n, ref) if not row)
+
+
+@st.composite
+def one_row_formulas(draw):
+    """Formulas at n in 17..20 whose unit clauses pin the variables >= 16 to
+    one pattern, so every other bitmap row is all zero; a few low variables
+    may be pinned too (emptying most 4096-bit blocks of the row), and a few
+    random low clauses cut it further."""
+    n = draw(st.integers(_LOW_BITS + 1, _LOW_BITS + 4))
+    high = draw(st.integers(0, (1 << (n - _LOW_BITS)) - 1))
+    units = {v: bool((high >> (v - _LOW_BITS)) & 1) for v in range(_LOW_BITS, n)}
+    for v in draw(st.lists(st.integers(0, _LOW_BITS - 1), unique=True, max_size=16)):
+        units[v] = draw(st.booleans())
+    clauses = [Clause.from_literals([(v, not x)]) for v, x in units.items()]
+    for _ in range(draw(st.integers(0, 4))):
+        vs = draw(st.lists(st.integers(0, _LOW_BITS - 1), min_size=1, max_size=3, unique=True))
+        clauses.append(Clause.from_literals([(v, draw(st.booleans())) for v in vs]))
+    return CnfFormula(n, tuple(clauses))
+
+
+@settings(max_examples=30, deadline=None)
+@given(one_row_formulas())
+def test_select_and_iteration_skip_zero_rows(f):
+    assert _check_select_against_reference(f) >= (1 << (f.n - _LOW_BITS)) - 1
+
+
+def test_select_and_iteration_on_sparse_n25():
+    f = gen_random_cnf(RandomCnfSpec(3, 25, 3.0, "rows"))
+    # most of the 512 rows hold no solution
+    assert _check_select_against_reference(f) > 256
 
 
 def _nth_set_bit(bitmap, rank):
