@@ -12,18 +12,19 @@ sample (exact counts over a solution space are Space.pattern_counts):
   its parent's sample sets by one more column, each shared prefix split
   once, about C(n,k) * 2^k ANDs of T-bit ints; a leaf holds the samples
   showing one pattern on one subset.
-- _first_hit_scan, the sweep's completion check: every k-subset is one
-  guard-bit field of one int per subset position, so each of the 2^k
-  patterns costs a few whole-int operations for all subsets at once.  Over
-  samples in draw order, a leaf's lowest set bit is its pattern's
-  first-hit time, and a sweep trial completes at the largest first-hit time
-  over the patterns the truth supports.
+- _first_completion, the sweep's completion check: a trial's draws come in
+  chunks of _CHUNK samples, each scanned once.  Every k-subset is one
+  guard-bit field of one int per subset position (a plane, joined from
+  colex prefixes), so each of the 2^k patterns costs a few whole-int
+  operations for all subsets at once.  Per pattern, a mask keeps the
+  fields the truth supports and no sample has hit yet; each chunk clears
+  its new hits, and the trial completes in the chunk that empties every
+  mask, at the highest first-hit time among that chunk's new hits.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import time
@@ -35,7 +36,6 @@ from .rand import SeededRng, derived_seed
 from .solutions import (
     Space,
     _space,
-    iter_ksubsets_colex,
     sample_uniform,
     tv_distance,
 )
@@ -216,90 +216,116 @@ class SweepResult:
         return buf.getvalue()
 
 
-# Samples drawn before a sweep trial's first completion check; each later
-# check doubles the number drawn, up to the grid's largest T.
-_FIRST_CHUNK = 64
+# Samples per chunk of a sweep trial's draws; each chunk is scanned once.
+_CHUNK = 64
 
 
-def _completion_time(space, k, supported, t_max, seed):
-    """First sample count at which every truth-supported (subset, pattern)
-    has been hit, or None within t_max.
-
-    supported counts the (k-subset, pattern) pairs of nonzero truth
-    probability.  Draws the exact sequence sample_uniform would produce, in
-    chunks that double in size, and reads the first-hit times off all draws
-    so far after each chunk.  Draws past completion change no first hit, so
-    the result is exact.
-    """
-    rng = SeededRng(seed)
-    samples = []
-    while True:
-        want = min(t_max, max(_FIRST_CHUNK, 2 * len(samples)))
-        samples += [
-            space.select(rng.randbelow(space.count))
-            for _ in range(want - len(samples))
-        ]
-        done = _first_hit_scan(space.n, k, samples, supported)
-        if done is not None or len(samples) >= t_max:
-            return done
-
-
-@functools.cache
-def _colex_positions(n, k):
-    """The packed scan's field layout: for each subset position i, the
-    variable at position i of every k-subset in colex order; and the number
-    of k-subsets.  Cached for the process: a sweep checks the same (n, k)
-    after every chunk of every trial."""
-    subsets = list(iter_ksubsets_colex(n, k))
-    return tuple(tuple(s[i] for s in subsets) for i in range(k)), len(subsets)
-
-
-def _first_hit_scan(n, k, samples, supported):
-    """Largest 1-based first-hit time over the (k-subset, pattern) pairs the
-    samples hit, or None while fewer than `supported` pairs are hit.
-
-    Samples only ever hit supported pairs, so all of them are hit iff the
-    hit pairs number `supported`.  Each k-subset is one W-bit field, W =
-    8 * ceil((T+1)/8) for T samples, and plane i holds in field j the
-    column of the i-th variable of the j-th subset in colex order; bit T of
-    a field is its guard bit.  Splitting every field's samples by the
-    planes in turn gives 2^k leaves, one per pattern.  With ones the lowest
-    bit of every field and guard the guard bits, y = (leaf | guard) - ones
-    borrows no bit across fields: y & guard keeps the guard of every
-    nonempty field, and leaf & ~y is the lowest set bit of every field,
-    its pattern's first hit.
-    """
-    T = len(samples)
-    width = T // 8 + 1  # bytes per field
-    positions, fields = _colex_positions(n, k)
-    raw = [column.to_bytes(width, "little") for column in _columns(samples, n)]
-    planes = [
-        int.from_bytes(b"".join([raw[v] for v in position]), "little")
-        for position in positions
+def _support_masks(k, pattern_counts):
+    """Per pattern b, the guard bits of the scan's fields (one per k-subset,
+    in colex order) on whose subset the truth supports b: the fields a
+    sample has yet to hit with b.  pattern_counts is the truth's
+    (subset, counts) per k-subset in colex order."""
+    width = _CHUNK // 8 + 1  # bytes per field
+    off, on = bytes(width), (1 << _CHUNK).to_bytes(width, "little")
+    counts = [counts for _, counts in pattern_counts]
+    return [
+        int.from_bytes(b"".join([on if c[b] else off for c in counts]), "little")
+        for b in range(1 << k)
     ]
+
+
+def _planes(k, raw, width):
+    """For each subset position i, the fields of every k-subset of
+    range(len(raw)) in colex order as one int, field j holding
+    raw[subset_j[i]] (width bytes each).
+
+    The j-subsets of range(n) whose largest element is m are the
+    (j-1)-subsets of range(m), a colex prefix of those of range(n), each
+    followed by m; so the planes of the j-subsets join prefixes of the
+    planes of the (j-1)-subsets, plus raw[m] repeated for the new top
+    position, O(k * n) joins and no per-subset step.
+    """
+    planes = []
+    for j in range(1, k + 1):
+        runs = [(m, math.comb(m, j - 1)) for m in range(j - 1, len(raw))]
+        planes = [
+            b"".join([plane[: c * width] for _, c in runs]) for plane in planes
+        ] + [b"".join([raw[m] * c for m, c in runs])]
+    return [int.from_bytes(plane, "little") for plane in planes]
+
+
+def _first_completion(n, k, unhit, chunks):
+    """1-based sample count at which every (k-subset, pattern) pair the
+    truth supports has been hit, or None if the chunks run out first.
+
+    unhit is _support_masks' list; chunks yields the samples in draw order,
+    _CHUNK at a time (the last maybe fewer), and is read only until the
+    answer is known.  Each k-subset is one field of W = _CHUNK // 8 + 1
+    bytes whose bit _CHUNK is its guard bit, and plane i holds in field j
+    the chunk's column of the i-th variable of the j-th subset.  Splitting
+    the chunk's samples in every field by the planes, last position first,
+    gives leaf b of pattern b (bit i the value of subset[i]).  With ones the
+    lowest bit of every field and guard the guard bits, y = (leaf | guard)
+    - ones borrows no bit across fields: y & guard keeps the guard of every
+    nonempty field, and leaf & ~y is the lowest set bit of every field, its
+    pattern's first hit in the chunk.  The newly hit fields leave unhit;
+    the chunk that empties it holds the completion time, the highest first
+    hit among its new hits.
+    """
+    if not any(unhit):
+        return 0  # an empty truth supports nothing
+    unhit = list(unhit)
+    fields = math.comb(n, k)
+    width = _CHUNK // 8 + 1
     ones = int.from_bytes((b"\1" + bytes(width - 1)) * fields, "little")
-    guard = ones << T
-    hit, first = _leaf_walk(planes, 0, guard - ones, guard, ones)
-    if hit < supported:
-        return None
-    # OR the upper half of the fields onto the lower half until one is left
-    while fields > 1:
-        fields = (fields + 1) // 2
-        low = fields * width * 8
-        first = (first >> low) | (first & ((1 << low) - 1))
-    return first.bit_length()
+    guard = ones << _CHUNK
+    drawn = 0
+    for samples in chunks:
+        raw = [column.to_bytes(width, "little") for column in _columns(samples, n)]
+        # a short last chunk starts from the samples it has, not from every
+        # bit below the guard
+        leaves = [ones * ((1 << len(samples)) - 1)]
+        for plane in reversed(_planes(k, raw, width)):
+            split = []
+            for node in leaves:
+                one = node & plane
+                split += (node ^ one, one)
+            leaves = split
+        hits = []
+        for b, leaf in enumerate(leaves):
+            if unhit[b]:
+                y = (leaf | guard) - ones
+                new = y & unhit[b]
+                if new:
+                    unhit[b] ^= new
+                    hits.append((leaf, y, new))
+        if not any(unhit):
+            # leaf & ~y, kept to the sample bits new - (new >> _CHUNK) of
+            # the newly hit fields
+            first = 0
+            for leaf, y, new in hits:
+                first |= (leaf ^ (leaf & y)) & (new - (new >> _CHUNK))
+            # OR the upper half of the fields onto the lower half until one
+            # is left
+            while fields > 1:
+                fields = (fields + 1) // 2
+                low = fields * width * 8
+                first = (first >> low) | (first & ((1 << low) - 1))
+            return drawn + first.bit_length()
+        drawn += len(samples)
+    return None
 
 
-def _leaf_walk(planes, i, node, guard, ones):
-    """(nonempty fields, first-hit bits) summed and OR-ed over the leaves
-    below node, which the planes from i on split depth first."""
-    if i == len(planes):
-        y = (node | guard) - ones
-        return (y & guard).bit_count(), node & ~y
-    one = node & planes[i]
-    hit0, first0 = _leaf_walk(planes, i + 1, node ^ one, guard, ones)
-    hit1, first1 = _leaf_walk(planes, i + 1, one, guard, ones)
-    return hit0 + hit1, first0 | first1
+def _completion_time(space, k, unhit, t_max, seed):
+    """The first completion time of the draws sample_uniform(space, t_max,
+    seed) would produce, drawn _CHUNK at a time and only until it is
+    known."""
+    rng = SeededRng(seed)
+    chunks = (
+        space.sample(rng, min(_CHUNK, t_max - start))
+        for start in range(0, t_max, _CHUNK)
+    )
+    return _first_completion(space.n, k, unhit, chunks)
 
 
 def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
@@ -320,11 +346,18 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
     clauses all have size <= k this is exactly equivalent(truth, learned):
     a missing supported pattern leaves a clause that cuts a true solution,
     and once none is missing, every surviving clause only cuts assignments
-    of zero probability.  Formulas with larger clauses are rejected.
+    of zero probability.  Formulas with larger clauses are rejected, and so
+    are a grid entry that is not an int >= 0 (a bool is not) and a delta
+    outside (0, 1).
     """
-    grid = sorted(set(t_grid))
-    if not grid or grid[0] < 0:
-        raise ValueError("t_grid must be nonempty and nonnegative")
+    grid = list(t_grid)
+    if not grid or any(
+        isinstance(T, bool) or not isinstance(T, int) or T < 0 for T in grid
+    ):
+        raise ValueError("t_grid must be a nonempty list of ints >= 0")
+    grid = sorted(set(grid))
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be >= 1, got %d" % trials)
     instances = list(instances)
@@ -337,12 +370,9 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
     for family, formula in instances:
         _require_width(formula, k, "support-mask sweep")
         space = _space(formula, limit, "sweep instance %r is unsatisfiable" % (family,))
-        supported = sum(
-            1 for _, counts in space.pattern_counts(k) for count in counts if count
-        )
+        unhit = _support_masks(k, space.pattern_counts(k))
         times = [
-            _completion_time(space, k, supported, grid[-1],
-                             derived_seed(seed_base, t))
+            _completion_time(space, k, unhit, grid[-1], derived_seed(seed_base, t))
             for t in range(trials)
         ]
         star = None

@@ -29,7 +29,10 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,16 +50,6 @@ from .rand import SeededRng
 
 DEFAULT_ENUMERATION_LIMIT = 30
 DEFAULT_SOLUTION_CAP = 1 << 20
-
-# bytes per select-index block; 512 bytes = 4096 assignments
-_BLOCK_BYTES = 512
-
-# (width, low-half mask) for select's descent inside a block: widths 2048,
-# 1024, ..., 1 halve the block's 4096 bits down to one
-_HALVES = tuple(
-    (1 << e, (1 << (1 << e)) - 1)
-    for e in reversed(range((_BLOCK_BYTES * 8).bit_length() - 1))
-)
 
 # the rows are 2^_LOW_BITS bits wide, one per pattern of the variables >=
 # _LOW_BITS; the rows of a random 3-CNF at n=25, alpha=3.0 build in a
@@ -306,7 +299,8 @@ class Space:
 
     The solutions are held as an immutable tuple of 2^L-bit rows (see the
     module docstring); `bitmap` joins them into one 2^n-bit int on every
-    read.  `select` is the one map from a uniform rank to a solution;
+    read.  One batch loop over a 64-bit word index maps uniform ranks to
+    solutions, for `select` (one rank) and `sample` (seeded draws);
     `restrict` conditions the space on a pinning, so a draw from the
     restricted space is a uniform solution agreeing with it.
     """
@@ -390,55 +384,72 @@ class Space:
 
     @functools.cached_property
     def _select_index(self):
-        """The nonzero 4096-bit blocks of the rows, the assignment each one
-        starts at, and the solution count before each block (one more
-        entry: the total).  An all-zero row is skipped without being cut."""
-        row_bytes = max(1, (1 << min(self.n, _LOW_BITS)) >> 3)
-        blocks = []
-        starts = []
-        cumulative = [0]
-        for h, row in enumerate(self._rows):
-            if not row:
-                continue
-            raw = row.to_bytes(row_bytes, "little")
-            for off in range(0, row_bytes, _BLOCK_BYTES):
-                chunk = int.from_bytes(raw[off : off + _BLOCK_BYTES], "little")
-                if chunk:
-                    blocks.append(chunk)
-                    starts.append((h * row_bytes + off) * 8)
-                    cumulative.append(cumulative[-1] + chunk.bit_count())
-        return blocks, starts, cumulative
+        """The 64-bit words of the nonzero rows, the solution count before
+        each word (one more entry: the total), the assignment each nonzero
+        row starts at, and log2 of the words per row: two 8-byte entries
+        per word.  A row narrower than a word fills the low bits of one."""
+        low = min(self.n, _LOW_BITS)
+        row_bytes = max(8, (1 << low) >> 3)
+        words = array("Q")
+        words.frombytes(b"".join(
+            row.to_bytes(row_bytes, "little") for row in self._rows if row
+        ))
+        if sys.byteorder == "big":
+            words.byteswap()
+        cumulative = array("Q", itertools.accumulate(map(int.bit_count, words), initial=0))
+        bases = [h << low for h, row in enumerate(self._rows) if row]
+        return words, cumulative, bases, (row_bytes >> 3).bit_length() - 1
+
+    def _select_ranks(self, ranks) -> list:
+        """The rank-th solution in increasing assignment order (0-based)
+        for each rank, every rank in [0, count).
+
+        The last word whose count before it is <= rank holds the solution
+        (a zero word never is that word: the next one has the same count),
+        and 6 halvings of that word find it, stepping past the low half
+        when the rank lies above it (the bits beyond the current half are
+        never counted: each later mask is narrower).
+        """
+        words, cumulative, bases, shift = self._select_index
+        in_row = (1 << shift) - 1
+        out = []
+        for rank in ranks:
+            j = bisect.bisect_right(cumulative, rank) - 1
+            remaining = rank - cumulative[j]
+            word = words[j]
+            pos = bases[j >> shift] + ((j & in_row) << 6)
+            for width, mask in ((32, 0xFFFFFFFF), (16, 0xFFFF), (8, 0xFF),
+                                (4, 0xF), (2, 0x3), (1, 0x1)):
+                low = (word & mask).bit_count()
+                if remaining >= low:
+                    remaining -= low
+                    word >>= width
+                    pos += width
+            out.append(pos)
+        return out
 
     def select(self, rank: int) -> int:
-        """The rank-th solution in increasing assignment order (0-based).
-
-        Bisects the block counts for the block holding it, then halves that
-        block 12 times, stepping past the low half when the rank lies above
-        it (the bits beyond the current half are never counted: each later
-        mask is narrower).
-        """
+        """The rank-th solution in increasing assignment order (0-based)."""
         if not 0 <= rank < self.count:
             raise IndexError("rank out of range")
-        blocks, starts, cumulative = self._select_index
-        b = bisect.bisect_right(cumulative, rank) - 1
-        remaining = rank - cumulative[b]
-        chunk = blocks[b]
-        pos = starts[b]
-        for width, mask in _HALVES:
-            low = (chunk & mask).bit_count()
-            if remaining >= low:
-                remaining -= low
-                chunk >>= width
-                pos += width
-        return pos
+        return self._select_ranks((rank,))[0]
+
+    def sample(self, rng: SeededRng, T: int) -> list:
+        """T uniform solutions in draw order: the solution of rank
+        rng.randbelow(count) for each, so T draws and then T' more give the
+        same list as T + T' draws from the same stream."""
+        count = self.count
+        return self._select_ranks([rng.randbelow(count) for _ in range(T)])
 
     def iter_solutions(self):
-        blocks, starts, _ = self._select_index
-        for base, chunk in zip(starts, blocks):
-            while chunk:
-                low_bit = chunk & -chunk
+        words, _, bases, shift = self._select_index
+        in_row = (1 << shift) - 1
+        for j, word in enumerate(words):
+            base = bases[j >> shift] + ((j & in_row) << 6)
+            while word:
+                low_bit = word & -word
                 yield base + low_bit.bit_length() - 1
-                chunk ^= low_bit
+                word ^= low_bit
 
 
 _UNSAT = "formula is unsatisfiable"
@@ -511,7 +522,7 @@ def sample_uniform(formula, T, seed, limit=None, method="enumerate", reject_budg
     if method != "enumerate":
         raise ValueError("unknown sampling method %r" % (method,))
     space = _space(formula, limit, "cannot sample from an unsatisfiable formula")
-    return [space.select(rng.randbelow(space.count)) for _ in range(T)]
+    return space.sample(rng, T)
 
 
 def marginals(formula, limit=None):

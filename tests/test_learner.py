@@ -169,22 +169,48 @@ def test_pattern_counts_match_brute_force(case):
         assert sum(counts) == full.bit_count()
 
 
+@pytest.mark.parametrize("n,k", [(0, 0), (1, 1), (4, 2), (6, 3), (6, 6), (7, 0), (8, 4)])
+def test_planes_from_colex_prefixes_match_the_per_subset_layout(n, k):
+    raw = [bytes([v + 1, 100 + v]) for v in range(n)]
+    expect = [
+        int.from_bytes(b"".join(raw[s[i]] for s in colex_subsets(n, k)), "little")
+        for i in range(k)
+    ]
+    assert learner._planes(k, raw, 2) == expect
+
+
 def reference_first_hit(n, k, samples, truth):
-    """The split tree plus naive.last_first_hit, with the truth's support
-    counted by brute force; also returns the packed scan's `supported`."""
+    """The split tree over all the samples plus naive.last_first_hit, with
+    the truth's support counted by brute force."""
     unsupported = []
     for subset in colex_subsets(n, k):
         shown = {pattern_on(a, subset) for a in truth}
         unsupported.append((1 << k) - len(shown))
     tree = learner._split_tree(n, k, learner._columns(samples, n),
                                (1 << len(samples)) - 1)
-    supported = math.comb(n, k) * (1 << k) - sum(unsupported)
-    return naive.last_first_hit(tree, unsupported), supported
+    return naive.last_first_hit(tree, unsupported)
+
+
+def chunked_first_hit(n, k, samples, truth):
+    """The sweep's incremental check over the samples, _CHUNK at a time,
+    with the support masks built from brute-force pattern counts."""
+    counts = []
+    for subset in colex_subsets(n, k):
+        shown = [0] * (1 << k)
+        for a in truth:
+            shown[pattern_on(a, subset)] += 1
+        counts.append((subset, shown))
+    unhit = learner._support_masks(k, counts)
+    size = learner._CHUNK
+    chunks = [samples[i : i + size] for i in range(0, len(samples), size)]
+    return learner._first_completion(n, k, unhit, chunks)
 
 
 # T = 7, 8, 9 and 63, 64, 65 put the guard bit on either side of a byte
-# boundary of the field
+# boundary of the field, and T around a multiple of a chunk size fills the
+# last chunk, leaves it short or starts a new one
 FIRST_HIT_TS = (0, 1, 7, 8, 9, 63, 64, 65)
+CHUNKS = (1, 3, 8, 64)
 
 
 @st.composite
@@ -202,11 +228,12 @@ def first_hit_inputs(draw):
 
 
 @settings(max_examples=200)
-@given(first_hit_inputs())
-def test_first_hit_scan_matches_split_tree_reference(case):
+@given(first_hit_inputs(), st.sampled_from(CHUNKS))
+def test_first_hit_scan_matches_split_tree_reference(case, chunk):
     n, k, samples, truth = case
-    expect, supported = reference_first_hit(n, k, samples, truth)
-    assert learner._first_hit_scan(n, k, samples, supported) == expect
+    expect = reference_first_hit(n, k, samples, truth)
+    with mock.patch.object(learner, "_CHUNK", chunk):
+        assert chunked_first_hit(n, k, samples, truth) == expect
 
 
 @pytest.mark.parametrize("T", FIRST_HIT_TS)
@@ -218,10 +245,50 @@ def test_first_hit_scan_complete_and_incomplete(T, k):
     rng = random.Random(T * 10 + k)
     samples = [rng.randrange(1 << n) for _ in range(T)]
     for truth in (set(samples), set(samples) | {rng.randrange(1 << n)}):
-        expect, supported = reference_first_hit(n, k, samples, truth)
-        assert learner._first_hit_scan(n, k, samples, supported) == expect
+        expect = reference_first_hit(n, k, samples, truth)
+        for chunk in CHUNKS:
+            with mock.patch.object(learner, "_CHUNK", chunk):
+                assert chunked_first_hit(n, k, samples, truth) == expect
         if truth == set(samples):
             assert expect is not None
+
+
+@st.composite
+def completion_cases(draw):
+    """(truth, k, chunk, t_max): a satisfiable formula on n <= 6 variables
+    with clauses of any width, k in {0, 1, n} or any width, a chunk size,
+    and t_max below, at or across a chunk boundary."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.one_of(st.sampled_from(sorted({0, min(1, n), n})),
+                       st.integers(min_value=0, max_value=n)))
+    clauses = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4)) if n else 0):
+        vs = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))))
+        clauses.append(Clause(vs, draw(st.integers(0, (1 << len(vs)) - 1))))
+    truth = CnfFormula(n, tuple(clauses))
+    assume(solution_bitmap(truth))
+    chunk = draw(st.sampled_from(CHUNKS))
+    edge = draw(st.integers(min_value=0, max_value=3)) * chunk
+    t_max = draw(st.one_of(st.sampled_from([max(0, edge - 1), edge, edge + 1]),
+                           st.integers(min_value=0, max_value=150)))
+    return truth, k, chunk, t_max
+
+
+@settings(max_examples=150, deadline=None)
+# 4 draws in chunks of 3 miss pattern 00 on (0, 1): the short last chunk
+# must not count the bits it has no sample for as all-False hits
+@example((CnfFormula(2, ()), 2, 3, 4), 11)
+@given(completion_cases(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_chunked_completion_matches_split_tree_reference(case, seed):
+    # the sweep's draws, chunk by chunk, against the split tree over the
+    # whole draw sequence
+    truth, k, chunk, t_max = case
+    space = Space(truth)
+    samples = sample_uniform(space, t_max, seed)
+    expect = reference_first_hit(truth.n, k, samples, set(space.iter_solutions()))
+    with mock.patch.object(learner, "_CHUNK", chunk):
+        unhit = learner._support_masks(k, space.pattern_counts(k))
+        assert learner._completion_time(space, k, unhit, t_max, seed) == expect
 
 
 def test_pattern_scans_leave_no_reference_cycles():
@@ -419,6 +486,23 @@ def test_sweep_input_validation():
                                     [5, 50], trials=trials, seed_base="s")
 
 
+@pytest.mark.parametrize("grid", [[2, 10.5], [True, 5], [5, False], [3, -1], ["5"]])
+def test_sweep_rejects_a_grid_entry_that_is_not_an_int_ge_0(grid):
+    # 10.5 used to fail with a TypeError traceback and True to write a row
+    # with T=True
+    with pytest.raises(ValueError, match="t_grid must be a nonempty list of ints >= 0"):
+        sample_complexity_sweep([("d", gen_disjoint_family(2, 4, 1))], 2, grid,
+                                trials=2, seed_base="s")
+
+
+@pytest.mark.parametrize("delta", [0, 1, 1.5, -0.1, float("nan")])
+def test_sweep_rejects_a_delta_outside_0_1(delta):
+    # these used to give T* = None or the first grid point without a word
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        sample_complexity_sweep([("d", gen_disjoint_family(2, 4, 1))], 2, [0, 5],
+                                trials=2, delta=delta, seed_base="s")
+
+
 @st.composite
 def sweep_truths(draw):
     """A satisfiable formula on n <= 6 variables with clauses of size <= k."""
@@ -447,11 +531,11 @@ def first_equivalent_T(truth, k, t_max, seed):
 @settings(max_examples=30, deadline=None)
 @given(sweep_truths(), st.integers(min_value=0, max_value=40),
        st.sampled_from([1, 3, 64]))
-def test_sweep_completion_is_first_equivalent_T(case, t_max, first_chunk):
+def test_sweep_completion_is_first_equivalent_T(case, t_max, chunk):
     # one trial per sweep, so its first successful T is that trial's
-    # completion time; small first chunks cross several doublings
+    # completion time; small chunks cross several chunk boundaries
     truth, k = case
-    with mock.patch.object(learner, "_FIRST_CHUNK", first_chunk):
+    with mock.patch.object(learner, "_CHUNK", chunk):
         for base in ("first0", "first1", "first2"):
             result = sample_complexity_sweep([("h", truth)], k, range(t_max + 1),
                                              trials=1, seed_base=base)

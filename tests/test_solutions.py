@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cnflab import (
     Clause,
@@ -35,6 +35,7 @@ from cnflab import (
     tv_distance,
     verify_gadget_counts,
 )
+from cnflab.rand import SeededRng
 from cnflab.solutions import _LOW_BITS, solution_bitmap
 
 import naive
@@ -316,8 +317,8 @@ def _forbid(pinning):
 @st.composite
 def select_formulas(draw):
     """Formulas at n in 0..2 with any solution set, or at n in 12..16, whose
-    4096-assignment select blocks (one per pattern of the variables >= 12)
-    are each empty, full, one solution, or cut by a few random clauses."""
+    4096-assignment blocks (one per pattern of the variables >= 12) are
+    each empty, full, one solution, or cut by a few random clauses."""
     n = draw(st.one_of(st.integers(0, 2), st.integers(12, 16)))
     if n <= 2:
         keep = draw(st.sets(st.integers(0, (1 << n) - 1)))
@@ -391,7 +392,7 @@ def test_restrict_select_order_across_blocks():
     sub = space.restrict(pinning)
     expected = [a for a in space.iter_solutions() if _agrees(a, pinning)]
     assert sub.count == len(expected)
-    assert len({a >> 12 for a in expected}) > 1  # several select blocks
+    assert len({a >> 12 for a in expected}) > 1  # several 4096-assignment blocks
     assert [sub.select(r) for r in range(sub.count)] == expected
     assert Space(sub.formula).bitmap == sub.bitmap
 
@@ -422,6 +423,65 @@ def _check_select_against_reference(f):
     with pytest.raises(IndexError):
         space.select(len(expected))
     return sum(1 for row in to_rows(f.n, ref) if not row)
+
+
+@st.composite
+def word_formulas(draw):
+    """Formulas at n in 0..7 with any solution set (rows narrower than one
+    64-bit word below n = 6, exactly one word at n = 6), or at n = 16 and 17
+    cut by a few clauses, some only over variables >= 6 (which empty whole
+    words) or >= 16 (whole rows)."""
+    n = draw(st.one_of(st.integers(0, 7), st.sampled_from([16, 17])))
+    if n <= 7:
+        keep = draw(st.sets(st.integers(0, (1 << n) - 1)))
+        return CnfFormula(n, tuple(
+            _forbid({v: bool((a >> v) & 1) for v in range(n)})
+            for a in range(1 << n) if a not in keep
+        ))
+    clauses = []
+    for _ in range(draw(st.integers(0, 5))):
+        lowest = min(draw(st.sampled_from([0, 6, 16])), n - 1)
+        vs = draw(st.lists(st.integers(lowest, n - 1), min_size=1, max_size=3, unique=True))
+        clauses.append(_forbid({v: draw(st.booleans()) for v in vs}))
+    return CnfFormula(n, tuple(clauses))
+
+
+# row 0 empty, and in row 1 every word whose variables 7 and 9 read 1, 0
+ZERO_ROW_AND_WORDS = CnfFormula(17, (_forbid({16: False}), _forbid({7: True, 9: False})))
+
+
+@settings(max_examples=60, deadline=None)
+@example(ZERO_ROW_AND_WORDS)
+@example(CnfFormula(6, ()))
+@given(word_formulas())
+def test_word_select_matches_shift_doubling_reference(f):
+    expected = _set_bits(naive.shift_doubling_bitmap(f.n, _plain(f.clauses)))
+    space = Space(f)
+    assert space.count == len(expected)
+    assert list(space.iter_solutions()) == expected
+    assert space._select_ranks(range(len(expected))) == expected
+    step = max(1, len(expected) // 64)
+    assert [space.select(r) for r in range(0, len(expected), step)] == expected[::step]
+    for rank in (-1, len(expected)):
+        with pytest.raises(IndexError):
+            space.select(rank)
+
+
+@settings(max_examples=40, deadline=None)
+@example(ZERO_ROW_AND_WORDS, 300, 0, 130)
+@given(word_formulas(), st.integers(0, 300), st.integers(0, 2**32 - 1),
+       st.integers(0, 300))
+def test_sample_uniform_is_a_select_per_seeded_draw(f, T, seed, cut):
+    # the batch draw is the per-rank loop, and a stream drawn in two parts
+    # (as a sweep draws its chunks) continues where the first stopped
+    space = Space(f)
+    assume(space.count)
+    rng = SeededRng(seed)
+    expected = [space.select(rng.randbelow(space.count)) for _ in range(T)]
+    assert sample_uniform(f, T, seed) == expected
+    rng = SeededRng(seed)
+    cut = min(cut, T)
+    assert space.sample(rng, cut) + space.sample(rng, T - cut) == expected
 
 
 @st.composite
