@@ -191,6 +191,35 @@ class CnfFormula:
                     out.setdefault(v, []).append(i)
         return {v: tuple(ix) for v, ix in out.items()}
 
+    @functools.cached_property
+    def components(self) -> tuple:
+        """The variable-disjoint components of the non-tautological
+        clauses: (ascending variables, ascending clause indices) per
+        component, ordered by smallest clause index.  Two clauses share a
+        component iff a chain of clauses, each sharing a variable with the
+        next, joins them; an empty clause is a component with no variables,
+        and a variable in no clause is in none.  Built once per formula from
+        `by_var` by union-find over clause indices."""
+        parent = list(range(len(self.clauses)))
+
+        def root(i):
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        for ix in self.by_var.values():
+            top = root(ix[0])
+            for i in ix[1:]:
+                parent[root(i)] = top
+        groups = {}
+        for i, c in enumerate(self.clauses):
+            if not c.tautology:
+                groups.setdefault(root(i), []).append(i)
+        return tuple(
+            (tuple(sorted({v for i in ix for v in self.clauses[i].vars})), tuple(ix))
+            for ix in groups.values()
+        )
+
     def satisfied_by(self, assignment: int) -> bool:
         return all(c.satisfied_by(assignment) for c in self.clauses)
 

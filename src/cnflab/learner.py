@@ -6,7 +6,8 @@ formula.
 
 Samples are transposed into n column ints, and two bit-parallel scans read
 every k-subset's patterns off them in colex order, with no Python step per
-sample (exact counts over a solution space are Space.pattern_counts):
+sample (the truth's exact counts, which give the sweep its support, come
+from Space.pattern_counts, one array per pattern):
 
 - _split_tree, the learner's: a depth-first tree in which each node splits
   its parent's sample sets by one more column, each shared prefix split
@@ -220,18 +221,20 @@ class SweepResult:
 _CHUNK = 64
 
 
-def _support_masks(k, pattern_counts):
+def _support_masks(pattern_counts):
     """Per pattern b, the guard bits of the scan's fields (one per k-subset,
     in colex order) on whose subset the truth supports b: the fields a
     sample has yet to hit with b.  pattern_counts is the truth's
-    (subset, counts) per k-subset in colex order."""
+    Space.pattern_counts(k): per pattern, one count per k-subset in colex
+    order."""
     width = _CHUNK // 8 + 1  # bytes per field
-    off, on = bytes(width), (1 << _CHUNK).to_bytes(width, "little")
-    counts = [counts for _, counts in pattern_counts]
-    return [
-        int.from_bytes(b"".join([on if c[b] else off for c in counts]), "little")
-        for b in range(1 << k)
-    ]
+    guard = bytes([0, 1 << _CHUNK % 8]) + bytes(254)  # a bool -> its guard byte
+    masks = []
+    for counts in pattern_counts:
+        fields = bytearray(width * len(counts))
+        fields[_CHUNK // 8 :: width] = bytes(map(bool, counts)).translate(guard)
+        masks.append(int.from_bytes(fields, "little"))
+    return masks
 
 
 def _planes(k, raw, width):
@@ -370,7 +373,7 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
     for family, formula in instances:
         _require_width(formula, k, "support-mask sweep")
         space = _space(formula, limit, "sweep instance %r is unsatisfiable" % (family,))
-        unhit = _support_masks(k, space.pattern_counts(k))
+        unhit = _support_masks(space.pattern_counts(k))
         times = [
             _completion_time(space, k, unhit, grid[-1], derived_seed(seed_base, t))
             for t in range(trials)

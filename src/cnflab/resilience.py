@@ -4,19 +4,21 @@ Resilience of a formula at width k: every size-k clause outside the formula
 has forbidden-pattern probability either exactly 0 or at least theta, and
 theta is the smallest nonzero value.  Computed here exactly over all
 2^k * C(n,k) candidates from the solution space's pattern counts
-(Space.pattern_counts): one popcount per bitmap row and set of at most k
-variables, turned into per-pattern counts on small ints.
+(Space.pattern_counts: exact products over the formula's variable-disjoint
+components, one count array per pattern), read with whole-array minima and
+zero counts and no step per candidate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .core import Clause
-from .solutions import _space, marginals
+from .solutions import _space, iter_ksubsets_colex, marginals
 
 
 @dataclass(frozen=True)
@@ -36,31 +38,28 @@ def resilience_theta(formula, k, limit=None) -> ResilienceReport:
     space; clauses on the same variable set with a different polarity are
     candidates.  A satisfiable formula always has a defined theta: any
     pattern some solution realizes cannot be a clause of the formula, so at
-    least one candidate has nonzero probability.
+    least one candidate has nonzero probability.  The argmin is the first
+    clause attaining theta by colex variable set, then ascending pattern.
     """
     if not 0 < k <= formula.n:
         raise ValueError("need 0 < k <= n")
     space = _space(formula, limit, "resilience is undefined for an unsatisfiable formula")
-    own = {(c.vars, c.forbidden) for c in space.formula.clauses if not c.tautology}
-    best = None
-    best_clause = None
-    zero = 0
-    candidates = 0
-    for subset, counts in space.pattern_counts(k):
-        for pattern, cnt in enumerate(counts):
-            if (subset, pattern) in own:
-                continue
-            candidates += 1
-            if cnt == 0:
-                zero += 1
-            elif best is None or cnt < best:
-                best = cnt
-                best_clause = Clause(subset, pattern)
+    # the formula's own width-k cells: candidates never, and always count 0
+    own = len({(c.vars, c.forbidden) for c in space.formula.clauses
+               if not c.tautology and c.size == k})
+    planes = space.pattern_counts(k)
+    # a satisfiable formula realizes some pattern, and no count exceeds its
+    # solution count
+    best = min(min(filter(None, plane), default=space.count) for plane in planes)
+    rank, pattern = min(
+        (plane.index(best), b) for b, plane in enumerate(planes) if best in plane
+    )
+    subset = next(itertools.islice(iter_ksubsets_colex(space.n, k), rank, None))
     return ResilienceReport(
         theta=Fraction(best, space.count),
-        zero_set_size=zero,
-        argmin=best_clause,
-        candidates=candidates,
+        zero_set_size=sum(plane.count(0) for plane in planes) - own,
+        argmin=Clause(subset, pattern),
+        candidates=(1 << k) * math.comb(space.n, k) - own,
         solution_count=space.count,
     )
 

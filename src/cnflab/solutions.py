@@ -17,12 +17,17 @@ whole high pattern is known, so it is tested at 2^(n-L-j-1) nodes, not at
 all 2^(n-L) rows, and no 2^n-bit int is built.
 Every query reads the rows: a pinning splits into one low cylinder and a
 high mask/pattern that keeps or drops whole rows, and every count of
-solutions with a set of at most k variables all True (resilience, the
-sweep's truth support, counts_by_pattern, marginals, correlation) is read
-off the rows by one walk, a subset Moebius transform turning such counts
-into pattern counts.  This module is the only one that knows the row
-layout.  Everything is exact; the only floats in this module are never
-returned.
+solutions with a set of at most k variables all True is read off rows by
+one walk, a superset Moebius transform turning such counts into pattern
+counts.  counts_by_pattern, marginals and correlation walk the space's
+rows.  Space.pattern_counts (resilience, the sweep's truth support) walks
+each variable-disjoint component's own rows, the space's for a component
+on every variable, and multiplies: a set's all-True count is the product
+of its parts' counts in the components.  The counts of all k-subsets are
+packed as 64-bit fields of 2^k whole ints (planes), joined from colex
+prefixes, and transformed together.  This module is the only one that
+knows the row layout.  Everything is exact; the only floats in this
+module are never returned.
 """
 
 from __future__ import annotations
@@ -260,38 +265,124 @@ def _all_true_walk(steps, depth, start, key, node, out):
                 _all_true_walk(steps, depth - 1, j + 1, key | bit, child, out)
 
 
-def _superset_moebius(all_true, positions):
-    """The pattern counts on the given positions from the all-True counts
-    of their subsets: counts[b] = sum over c containing b of
-    (-1)^|c - b| N(c), bit i of b for positions[i]."""
-    masks = [0]
-    for i in positions:
-        masks += [m | 1 << i for m in masks]
-    counts = [all_true.get(m, 0) for m in masks]
-    step = 1
-    while step < len(counts):
-        for b in range(len(counts)):
-            if not b & step:
-                counts[b] -= counts[b | step]
-        step <<= 1
-    return counts
+def _component_counts(space, k):
+    """All-True counts N(T) of the space for every set T of at most k
+    variables, keyed by variable mask (bit v for variable v; a set missing
+    from the result counts 0), as exact products over the formula's
+    variable-disjoint components: N(T) is the product over the components c
+    of N_c(T & c), N_c(empty) being c's own solution count, and a free
+    variable is a component with counts 2 and 1.
 
-
-def _pattern_counts(n, k, rows):
-    """(subset, counts) for every k-subset of range(n), in colex order.
-
-    counts[b] is the number of assignments in the rows whose
-    values on subset form pattern b (bit i of b is the value of subset[i],
-    the Clause.forbidden convention): the superset Moebius transform of the
-    subset's 2^k all-True counts.
+    Each component's counts are walked over its own rows, its variables
+    renumbered from 0; a component on all n variables reads the space's
+    rows instead of building them again.  An unsatisfiable component (an
+    empty clause is one, with no variables) makes every count 0.
     """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    all_true = _all_true_counts(n, rows, range(n), k)
-    return (
-        (subset, _superset_moebius(all_true, subset))
-        for subset in iter_ksubsets_colex(n, k)
-    )
+    n, formula = space.n, space.formula
+    tables = []
+    free = (1 << n) - 1
+    for vs, ix in formula.components:
+        for v in vs:
+            free ^= 1 << v
+        if len(vs) == n:
+            tables.append(_all_true_counts(n, space._rows, vs, k))
+            continue
+        index = {v: i for i, v in enumerate(vs)}
+        rows = _solution_rows(len(vs), [
+            Clause(tuple(index[v] for v in c.vars), c.forbidden)
+            for c in map(formula.clauses.__getitem__, ix)
+        ])
+        tables.append({
+            sum(1 << v for i, v in enumerate(vs) if key >> i & 1): count
+            for key, count in _all_true_counts(len(vs), rows, range(len(vs)), k).items()
+        })
+    tables += [{0: 2, 1 << v: 1} for v in range(n) if free >> v & 1]
+    # the products so far, as (masks, counts) per set size: each part of
+    # the next table extends every product with room for it at C speed
+    sized = [([0], [1])] + [([], []) for _ in range(k)]
+    for table in tables:
+        grown = [([], []) for _ in range(k + 1)]
+        for part, count in table.items():
+            for (keys, values), (out_keys, out_values) in zip(sized, grown[part.bit_count():]):
+                out_keys += map(part.__or__, keys)
+                out_values += map(count.__mul__, values)
+        sized = grown
+    all_true = {}
+    for keys, values in sized:
+        all_true.update(zip(keys, values))
+    return all_true
+
+
+def _plane_walk(j, top, extra, all_true, memo):
+    """The 2^j planes (bytes) of the j-subsets S of range(top) in colex
+    order, field i of plane b holding N(S_i at the positions in b, plus the
+    variables of the mask extra); top is the lowest variable of extra (n if
+    none), so (j, extra) keys the memo.
+
+    The j-subsets with largest element m are the (j-1)-subsets of range(m),
+    a colex prefix of those of range(top), each followed by m: a plane
+    without the last position joins prefixes of the (j-1)-planes, and one
+    with it joins the (j-1)-planes of range(m) with m added to extra.  A
+    module-level function for the reason given at _all_true_walk; the memo
+    lives for one _pattern_counts call.
+    """
+    planes = memo.get((j, extra))
+    if planes is None:
+        base = all_true.get(extra, 0)
+        if not base:
+            planes = [bytes(8 * math.comb(top, j))] * (1 << j)
+        elif not j:
+            planes = [base.to_bytes(8, "little")]
+        elif j == 1:
+            planes = [base.to_bytes(8, "little") * top, b"".join([
+                all_true.get(extra | 1 << m, 0).to_bytes(8, "little") for m in range(top)
+            ])]
+        else:
+            below = _plane_walk(j - 1, top, extra, all_true, memo)
+            sizes = [8 * math.comb(m, j - 1) for m in range(j - 1, top)]
+            ups = [
+                _plane_walk(j - 1, m, extra | 1 << m, all_true, memo)
+                for m in range(j - 1, top)
+            ]
+            planes = [
+                b"".join([plane[:size] for size in sizes]) for plane in below
+            ] + [b"".join([up[b] for up in ups]) for b in range(1 << (j - 1))]
+        memo[(j, extra)] = planes
+    return planes
+
+
+def _superset_moebius(planes):
+    """Pattern counts from all-True counts, in place: planes[b] becomes the
+    sum over c containing b of (-1)^|c - b| planes[c], one subtraction per
+    pair (b, b | bit).  Every intermediate value of a field is a real count
+    (the assignments with the positions in b True and those already
+    processed outside b False), so packed fields never borrow."""
+    step = 1
+    while step < len(planes):
+        for b in range(len(planes)):
+            if not b & step:
+                planes[b] -= planes[b | step]
+        step <<= 1
+    return planes
+
+
+def _pattern_counts(n, k, all_true):
+    """Per pattern b of the k-subsets of range(n), an array('Q') of the
+    number of assignments whose values on the subset form b (bit i the
+    value of subset[i], the Clause.forbidden convention), one entry per
+    subset in colex order, from the all-True counts of every set of at most
+    k variables (keyed by variable mask): one superset Moebius transform
+    over the packed planes."""
+    fields = math.comb(n, k)
+    planes = [int.from_bytes(p, "little") for p in _plane_walk(k, n, 0, all_true, {})]
+    out = []
+    for plane in _superset_moebius(planes):
+        counts = array("Q")
+        counts.frombytes(plane.to_bytes(8 * fields, "little"))
+        if sys.byteorder == "big":
+            counts.byteswap()
+        out.append(counts)
+    return out
 
 
 class Space:
@@ -358,10 +449,14 @@ class Space:
         return not any(a & ~b for a, b in zip(self._rows, other._rows))
 
     def pattern_counts(self, k):
-        """(subset, counts) for every k-subset of the variables, in colex
-        order; counts[b] is the number of solutions whose values on subset
-        form pattern b (bit i of b is the value of subset[i])."""
-        return _pattern_counts(self.n, k, self._rows)
+        """Per pattern b, an array('Q') with one entry per k-subset of the
+        variables in colex order: the number of solutions whose values on
+        the subset form b (bit i of b is the value of subset[i]).  Counted
+        per variable-disjoint component of the formula (_component_counts).
+        """
+        if not 0 <= k <= self.n:
+            raise ValueError("need 0 <= k <= n")
+        return _pattern_counts(self.n, k, _component_counts(self, k))
 
     def count_matching(self, vs, pattern: int) -> int:
         """Number of solutions matching `pattern` on variable tuple `vs`."""
@@ -380,7 +475,7 @@ class Space:
         counts 0 under the patterns that give its copies different values.
         """
         all_true = _all_true_counts(self.n, self._rows, vs, len(vs))
-        return _superset_moebius(all_true, range(len(vs)))
+        return _superset_moebius([all_true.get(b, 0) for b in range(1 << len(vs))])
 
     @functools.cached_property
     def _select_index(self):

@@ -62,40 +62,11 @@ def var_to_clauses(formula):
     return {v: list(ix) for v, ix in formula.by_var.items()}
 
 
-def clause_adjacency(formula):
-    """Dependency-graph adjacency: clause index -> set of clause indices
-    sharing at least one variable (tautologies isolated)."""
-    adj = {i: set() for i in range(len(formula.clauses))}
-    for members in formula.by_var.values():
-        for i in members:
-            adj[i].update(members)
-    for i in adj:
-        adj[i].discard(i)
-    return adj
-
-
 def dependency_components(formula):
     """Connected components of the dependency graph, each a sorted tuple of
-    clause indices, ordered by smallest member.  Tautologies excluded."""
-    adj = clause_adjacency(formula)
-    active = {i for i, _ in _active_clauses(formula)}
-    seen = set()
-    comps = []
-    for i in sorted(active):
-        if i in seen:
-            continue
-        stack = [i]
-        comp = []
-        seen.add(i)
-        while stack:
-            j = stack.pop()
-            comp.append(j)
-            for w in adj[j]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    clause indices, ordered by smallest member.  Tautologies excluded.
+    Read off `CnfFormula.components`."""
+    return [ix for _, ix in formula.components]
 
 
 def check_clause_sizes(formula: CnfFormula, k) -> PropertyCheck:

@@ -138,6 +138,48 @@ def theta(n, clauses, k):
     return best, zero_count, argmin, candidates
 
 
+def pattern_counts(n, clauses, k):
+    """Per k-subset of range(n) in colex order, the number of solutions
+    showing each pattern on it (index bit i is the value of the subset's
+    i-th variable)."""
+    sols = solutions(n, clauses)
+    out = []
+    for vs in sorted(combinations(range(n), k), key=lambda s: s[::-1]):
+        counts = [0] * (1 << k)
+        for a in sols:
+            counts[sum(a[v] << i for i, v in enumerate(vs))] += 1
+        out.append(counts)
+    return out
+
+
+def clause_components(clauses):
+    """Variable-disjoint components of the non-tautological clauses, by
+    union-find over the variables: (sorted variables, sorted clause
+    indices) per component, ordered by smallest clause index.  An empty
+    clause is a component with no variables."""
+    parent = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    active = [(i, c) for i, c in enumerate(clauses) if _clause_key(c) is not None]
+    for _, c in active:
+        for var, _ in c:
+            parent[find(var)] = find(c[0][0])
+    groups = {}
+    for i, c in active:
+        key = find(c[0][0]) if c else ("empty", i)
+        vs, ix = groups.setdefault(key, (set(), []))
+        vs |= _vars(c)
+        ix.append(i)
+    return sorted(
+        ((tuple(sorted(vs)), tuple(ix)) for vs, ix in groups.values()),
+        key=lambda comp: comp[1][0],
+    )
+
+
 def last_first_hit(tree, unsupported):
     """Largest 1-based first-hit time over the leaves of a split tree over
     samples, or None while a supported pattern has no hit.

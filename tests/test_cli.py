@@ -183,7 +183,20 @@ def test_resilience_payload(tmp_path, capsys):
 
 
 def test_resilience_with_local_uniformity_builds_one_bitmap(tmp_path, capsys, monkeypatch):
+    # the 9-variable space serves theta and the marginals once; theta's
+    # counts also build the rows of its three 3-variable components
     path = formula_file(tmp_path, "d9.cnf", gen_disjoint_family(3, 9, "builds"))
+    builds = count_bitmap_builds(monkeypatch)
+    result = invoke_json(capsys, "resilience", path, "--k", "3", "--t", "3")
+    assert builds == [9, 3, 3, 3]
+    assert "local_uniformity" in result["payload"]
+
+
+def test_resilience_of_one_component_reuses_the_space_rows(tmp_path, capsys, monkeypatch):
+    # a component on every variable reads the space's own rows
+    formula = gen_gadget(GadgetSpec(3, 3, True))
+    assert [vs for vs, _ in formula.components] == [tuple(range(9))]
+    path = formula_file(tmp_path, "g33r.cnf", formula)
     builds = count_bitmap_builds(monkeypatch)
     result = invoke_json(capsys, "resilience", path, "--k", "3", "--t", "3")
     assert builds == [9]

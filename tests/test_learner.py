@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+from array import array
 from fractions import Fraction
 from unittest import mock
 
@@ -154,17 +155,22 @@ def counted_bitmaps(draw):
 @settings(deadline=None)
 @given(counted_bitmaps())
 def test_pattern_counts_match_brute_force(case):
+    # the raw-rows kernel: all-True counts walked over arbitrary rows, then
+    # the packed planes and their Moebius transform
     n, k, full = case
-    walk = list(solutions._pattern_counts(n, k, to_rows(n, full)))
-    assert [subset for subset, _ in walk] == colex_subsets(n, k)
+    all_true = solutions._all_true_counts(n, to_rows(n, full), range(n), k)
+    planes = solutions._pattern_counts(n, k, all_true)
+    assert len(planes) == 1 << k
+    assert all(len(plane) == math.comb(n, k) for plane in planes)
     items, rest = [], full
     while rest:
         items.append((rest & -rest).bit_length() - 1)
         rest &= rest - 1
-    for subset, counts in walk:
+    for j, subset in enumerate(colex_subsets(n, k)):
         expect = [0] * (1 << k)
         for a in items:
             expect[pattern_on(a, subset)] += 1
+        counts = [plane[j] for plane in planes]
         assert counts == expect
         assert sum(counts) == full.bit_count()
 
@@ -194,13 +200,11 @@ def reference_first_hit(n, k, samples, truth):
 def chunked_first_hit(n, k, samples, truth):
     """The sweep's incremental check over the samples, _CHUNK at a time,
     with the support masks built from brute-force pattern counts."""
-    counts = []
-    for subset in colex_subsets(n, k):
-        shown = [0] * (1 << k)
+    counts = [array("Q", [0] * math.comb(n, k)) for _ in range(1 << k)]
+    for j, subset in enumerate(colex_subsets(n, k)):
         for a in truth:
-            shown[pattern_on(a, subset)] += 1
-        counts.append((subset, shown))
-    unhit = learner._support_masks(k, counts)
+            counts[pattern_on(a, subset)][j] += 1
+    unhit = learner._support_masks(counts)
     size = learner._CHUNK
     chunks = [samples[i : i + size] for i in range(0, len(samples), size)]
     return learner._first_completion(n, k, unhit, chunks)
@@ -287,7 +291,7 @@ def test_chunked_completion_matches_split_tree_reference(case, seed):
     samples = sample_uniform(space, t_max, seed)
     expect = reference_first_hit(truth.n, k, samples, set(space.iter_solutions()))
     with mock.patch.object(learner, "_CHUNK", chunk):
-        unhit = learner._support_masks(k, space.pattern_counts(k))
+        unhit = learner._support_masks(space.pattern_counts(k))
         assert learner._completion_time(space, k, unhit, t_max, seed) == expect
 
 
@@ -300,6 +304,8 @@ def test_pattern_scans_leave_no_reference_cycles():
     calls = [
         lambda: resilience_theta(truth, 3),
         lambda: resilience_theta(wide, 2),
+        lambda: resilience_theta(wide, 3),
+        lambda: Space(wide).pattern_counts(3),
         lambda: sample_complexity_sweep([("d", truth)], 3, [20, 80], trials=3,
                                         seed_base="gc"),
         lambda: space.counts_by_pattern((4, 1, 7)),

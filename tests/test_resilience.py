@@ -92,11 +92,24 @@ def test_theta_matches_naive_oracle():
 @st.composite
 def theta_cases(draw):
     """(formula, k): a satisfiable formula on n <= 6 variables whose clauses
-    have any size, may repeat or be tautologies; k in {1, 2, 3} or n."""
-    n = draw(st.integers(min_value=1, max_value=6))
+    have any size, may repeat or be tautologies, or 2-3 copies of one such
+    block on disjoint, interleaved variables plus free ones (n <= 8), so
+    that equal minima fall in different components; k in {1, 2, 3} or n."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=6))
+        literal = st.tuples(st.integers(0, n - 1), st.booleans())
+        clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=n), max_size=7))
+    else:
+        m = draw(st.integers(min_value=1, max_value=3))
+        copies = draw(st.integers(min_value=2, max_value=6 // m))
+        n = m * copies + draw(st.integers(min_value=0, max_value=2))
+        place = draw(st.permutations(range(n)))
+        literal = st.tuples(st.integers(0, m - 1), st.booleans())
+        block = draw(st.lists(st.lists(literal, min_size=1, max_size=m),
+                              min_size=1, max_size=3))
+        clauses = [[(place[j * m + v], neg) for v, neg in c]
+                   for j in range(copies) for c in block]
     k = draw(st.sampled_from(sorted({w for w in (1, 2, 3) if w <= n} | {n})))
-    literal = st.tuples(st.integers(0, n - 1), st.booleans())
-    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=n), max_size=7))
     formula = F(n, *clauses)
     assume(count_solutions(formula))
     return formula, k

@@ -36,6 +36,7 @@ from cnflab import (
     verify_gadget_counts,
 )
 from cnflab.rand import SeededRng
+from cnflab import solutions
 from cnflab.solutions import _LOW_BITS, solution_bitmap
 
 import naive
@@ -273,18 +274,69 @@ def test_space_surface_matches_naive(case):
     n, k, clauses, extra = case
     sols = set(naive.solutions(n, clauses))
     space, more = Space(F(n, *clauses)), Space(F(n, *clauses, *extra))
-    walk = list(space.pattern_counts(k))
-    assert [subset for subset, _ in walk] == sorted(
-        itertools.combinations(range(n), k), key=lambda s: s[::-1])
-    for subset, counts in walk:
+    planes = space.pattern_counts(k)
+    subsets = sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+    assert len(planes) == 1 << k
+    assert all(len(plane) == len(subsets) for plane in planes)
+    for j, subset in enumerate(subsets):
         expected = [0] * (1 << k)
         for a in sols:
             expected[sum(a[v] << i for i, v in enumerate(subset))] += 1
-        assert counts == expected, subset
+        assert [plane[j] for plane in planes] == expected, subset
     assert [a for a in range(-1, (1 << n) + 1) if a in space] == sorted(
         from_bits(a) for a in sols)
     assert more.issubset(space)
     assert space.issubset(more) == (more.count == space.count)
+
+
+@st.composite
+def block_formulas(draw):
+    """(n, clauses as literal lists, k): clauses inside variable-disjoint
+    blocks of n <= 9 variables, some variables in no block, plus
+    tautologies across blocks, repeated clauses and maybe an empty clause;
+    k from 0 to n, often wider than every block."""
+    n = draw(st.integers(0, 9))
+    block_of = draw(st.lists(st.sampled_from([None, 0, 1, 2, 3]), min_size=n, max_size=n))
+    clauses = []
+    for b in range(4):
+        members = [v for v in range(n) if block_of[v] == b]
+        if members:
+            literal = st.tuples(st.sampled_from(members), st.booleans())
+            clauses += draw(st.lists(st.lists(literal, min_size=1, max_size=3), max_size=3))
+    if n:
+        for _ in range(draw(st.integers(0, 2))):
+            v, w = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            clauses.append([(v, False), (w, True), (v, True)])
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        clauses.append([])
+    return n, draw(st.permutations(clauses)), draw(st.integers(0, n))
+
+
+@settings(max_examples=150, deadline=None)
+@example((3, [], 0))
+@example((4, [[(0, False), (1, True)], [(3, True)]], 4))
+@example((5, [[(0, False)], [(2, True), (4, False)], []], 2))
+@given(block_formulas())
+def test_pattern_counts_by_component_match_naive(case):
+    # products over the components against per-solution counts: free
+    # variables, k = 0, k = n and k wider than every component included
+    n, clauses, k = case
+    planes = Space(F(n, *clauses)).pattern_counts(k)
+    assert [list(counts) for counts in zip(*planes)] == naive.pattern_counts(n, clauses, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bitmap_formulas(), st.integers(0, 3))
+def test_pattern_counts_by_component_match_the_rows_walk(f, k):
+    # n = 17..20 spans several rows, and a component's own rows may too;
+    # the reference walks the whole space's rows (the raw-rows kernel,
+    # itself checked by brute force in test_learner)
+    k = min(k, f.n)
+    space = Space(f)
+    all_true = solutions._all_true_counts(f.n, space._rows, range(f.n), k)
+    assert space.pattern_counts(k) == solutions._pattern_counts(f.n, k, all_true)
 
 
 @settings(max_examples=60, deadline=None)

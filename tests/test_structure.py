@@ -220,3 +220,20 @@ def test_dependency_components():
     taut = Clause.from_literals([(0, False), (0, True)])
     f = CnfFormula(4, (taut, Clause.from_literals(pos(1, 2))))
     assert dependency_components(f) == [(1,)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=3)
+    if n else st.just([]),
+    max_size=8))))
+def test_components_match_naive_union_find(case):
+    # empty clauses, tautologies and repeats included; the property is
+    # cached, and dependency_components reads it
+    n, clauses = case
+    f = F(n, *clauses)
+    expect = naive.clause_components(clauses)
+    assert [(list(vs), list(ix)) for vs, ix in f.components] == [
+        (list(vs), list(ix)) for vs, ix in expect]
+    assert f.components is f.components
+    assert dependency_components(f) == [ix for _, ix in expect]
