@@ -52,17 +52,6 @@ class LearnerInvariantError(CnfError):
     keeps: it rejects a sample, or admits an assignment the truth forbids."""
 
 
-# clause_status kinds
-SATISFIED = "satisfied"
-VIOLATED = "violated"
-UNDETERMINED = "undetermined"
-
-
-class ClauseState(NamedTuple):
-    kind: str
-    unpinned: tuple
-
-
 class KdsParams(NamedTuple):
     k_min: int
     k_max: int
@@ -151,6 +140,17 @@ class Clause:
             return True
         return self.pattern_of(assignment) != self.forbidden
 
+    def satisfied_under(self, pinning) -> bool:
+        """Whether a partial assignment (variable -> truth value, read with
+        bool) already satisfies the clause: it is a tautology, or some
+        pinned variable disagrees with the forbidden pattern."""
+        if self.tautology:
+            return True
+        for i, v in enumerate(self.vars):
+            if v in pinning and bool(pinning[v]) != bool((self.forbidden >> i) & 1):
+                return True
+        return False
+
 
 @dataclass(frozen=True)
 class CnfFormula:
@@ -220,6 +220,14 @@ class CnfFormula:
             for ix in groups.values()
         )
 
+    @functools.cached_property
+    def _reveal_roots(self) -> dict:
+        """The revealing process's memo for this formula object, filled by
+        `reveal`: one entry per (target, prefix, parameters) run, holding
+        what the run fixes before it reads a solution and the decision tree
+        of the paths taken so far.  An equal formula object has its own."""
+        return {}
+
     def satisfied_by(self, assignment: int) -> bool:
         return all(c.satisfied_by(assignment) for c in self.clauses)
 
@@ -248,27 +256,6 @@ def assignment_to_bools(assignment: int, n: int):
 
 def clause_satisfied(clause: Clause, assignment: int) -> bool:
     return clause.satisfied_by(assignment)
-
-
-def clause_status(clause: Clause, pinning) -> ClauseState:
-    """Evaluate a clause under a partial assignment.
-
-    Satisfied as soon as one pinned variable disagrees with the forbidden
-    pattern; Violated when every variable is pinned to it; otherwise
-    Undetermined, carrying the clause's unpinned variables.
-    """
-    if clause.tautology:
-        return ClauseState(SATISFIED, ())
-    unpinned = []
-    for i, v in enumerate(clause.vars):
-        if v in pinning:
-            if bool(pinning[v]) != bool((clause.forbidden >> i) & 1):
-                return ClauseState(SATISFIED, ())
-        else:
-            unpinned.append(v)
-    if not unpinned:
-        return ClauseState(VIOLATED, ())
-    return ClauseState(UNDETERMINED, tuple(unpinned))
 
 
 def kds_parameters(formula: CnfFormula) -> KdsParams:

@@ -20,14 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import (
-    Clause,
-    CnfFormula,
-    CnfError,
-    InfeasiblePinningError,
-    SATISFIED,
-    clause_status,
-)
+from .core import Clause, CnfFormula, CnfError, InfeasiblePinningError
 from .rand import SeededRng
 from .solutions import _UNSAT, _space
 from .structure import BadSets, identify_bad, modified_bad_sets
@@ -83,7 +76,7 @@ class _RevealState:
     """
 
     def __init__(self, formula, sigma, bad, zeta, k):
-        self.formula = formula
+        self.clauses = formula.clauses
         self.bad = bad
         self.limit = zeta * _resolve_k(formula, k)
         self.by_var = formula.by_var
@@ -126,7 +119,7 @@ class _RevealState:
     def _freeze_if_due(self, i):
         if i not in self.bad.c_bad and self.good[i] <= self.limit:
             self.frozen[i] = True
-            for v in self.formula.clauses[i].vars:
+            for v in self.clauses[i].vars:
                 self.frozen_count[v] += 1
 
     def pin(self, v, value):
@@ -134,7 +127,7 @@ class _RevealState:
         for i in self.by_var.get(v, ()):
             if self.satisfied[i]:
                 continue
-            if bool(value) != self.formula.clauses[i].forbidden_value(v):
+            if bool(value) != self.clauses[i].forbidden_value(v):
                 self.satisfied[i] = True
             else:
                 self.good[i] -= 1
@@ -150,7 +143,7 @@ class _RevealState:
         alive; tested on demand."""
         return not (
             self.satisfied[i] or self.frozen[i] or i in self.bad.c_bad
-            or any(map(self.alive, self.formula.clauses[i].vars))
+            or any(map(self.alive, self.clauses[i].vars))
         )
 
     def _absorbable(self, i):
@@ -160,7 +153,7 @@ class _RevealState:
         """Add clause i to the extension and its alive variables to the
         heap; a variable dead now stays dead, so it is never needed."""
         self.ext.add(i)
-        for v in filter(self.alive, self.formula.clauses[i].vars):
+        for v in filter(self.alive, self.clauses[i].vars):
             heapq.heappush(self.heap, v)
 
     def _close(self, stack):
@@ -172,7 +165,7 @@ class _RevealState:
         Only a clause new to the extension is tested: the others were
         tested under this same state, when the step re-examined them.
         """
-        clauses, sigma, by_var = self.formula.clauses, self.sigma, self.by_var
+        clauses, sigma, by_var = self.clauses, self.sigma, self.by_var
         component, ext = self.component, self.ext
         while stack:
             j = stack.pop()
@@ -268,25 +261,144 @@ class RevealResult:
     early_reason: str | None = None
 
 
-def _start(formula, target, prefix, params):
-    """What a revealing run fixes before it reads tau: (k, the early-return
-    reason or None, c0, the state at the prefix under the run's bad sets)."""
+class _Root:
+    """What every revealing run of one (formula, target, prefix, params)
+    fixes before it reads tau: k, the early-return reason or None, c0, the
+    state at the prefix under the run's bad sets after its first step, the
+    variable that step picks (the state and first are None on an early
+    return) and the per-step check's floor.  Also public `reveal`'s two
+    decision trees, unchecked and checked.  The state is only ever copied.
+    The target is taken as valid: `_root` checks it."""
+
+    def __init__(self, formula, target, prefix, params):
+        self.k = k = _resolve_k(formula, params.k)
+        self.floor_needed = params.zeta * k - 1
+        self.trees = ({}, {})
+        self.c0 = self.state = self.first = None
+        if k == 0 or params.alpha < 1 / k**3:
+            self.early = EARLY_SPARSE
+            return
+        self.c0 = c0 = next((
+            i for i in formula.by_var.get(target, ())
+            if not formula.clauses[i].satisfied_under(prefix)
+        ), None)
+        if c0 is None:
+            self.early = EARLY_NO_CLAUSE
+            return
+        self.early = None
+        base = identify_bad(formula, params.p_hd, params.eps_bd, params.alpha, k=k)
+        bad = modified_bad_sets(formula, params.cstar, prefix, c0, k=k, base=base)
+        self.state = _RevealState(formula, prefix, bad, params.zeta, k)
+        self.first = self.state.step(c0)[1]
+
+
+def _root(formula, target, prefix, params):
+    """The formula's memoised `_Root` for (target, prefix, params).
+
+    The key holds the prefix's items as given (unsorted: a pinning given
+    in another order gets a root of its own) and the types of the
+    parameters' fields: equal numbers of different types (0.7 and
+    Fraction(0.7)) can round differently in the thresholds.  Prefix values
+    are read only through bool, so {v: 1} and {v: True} share a root.
+    Nothing invalid is stored, so the checks here and the callers' own run
+    on every call."""
     if target in prefix:
         raise ValueError("the target variable is already pinned")
     if not 0 <= target < formula.n:
         raise ValueError("target variable out of range")
-    k = _resolve_k(formula, params.k)
-    if k == 0 or params.alpha < 1 / k**3:
-        return k, EARLY_SPARSE, None, None
-    c0 = next((
-        i for i in formula.by_var.get(target, ())
-        if clause_status(formula.clauses[i], prefix).kind != SATISFIED
-    ), None)
-    if c0 is None:
-        return k, EARLY_NO_CLAUSE, None, None
-    base = identify_bad(formula, params.p_hd, params.eps_bd, params.alpha, k=k)
-    bad = modified_bad_sets(formula, params.cstar, prefix, c0, k=k, base=base)
-    return k, None, c0, _RevealState(formula, prefix, bad, params.zeta, k)
+    key = (target, tuple(prefix.items()), params,
+           tuple(map(type, vars(params).values())))
+    roots = formula._reveal_roots
+    root = roots.get(key)
+    if root is None:
+        root = roots[key] = _Root(formula, target, prefix, params)
+    return root
+
+
+def _check_step(state, v, floor_needed):
+    """Pinning v left each of its good unsatisfied clauses above the
+    frozen threshold."""
+    sigma, bad = state.sigma, state.bad
+    for i in state.by_var[v]:
+        c = state.clauses[i]
+        if i in bad.c_bad or c.satisfied_under(sigma):
+            continue
+        if not len(_unpinned_good(c, sigma, bad)) > floor_needed:
+            raise CnfError(
+                "revealing %d froze clause %d below the threshold" % (v, i)
+            )
+
+
+def _check_end(state):
+    """Every clause adjacent to the finished run's component is satisfied
+    or shares no unpinned variable with it."""
+    clauses, sigma, by_var = state.clauses, state.sigma, state.by_var
+    component = state.component
+    comp_vars = {v for j in component for v in clauses[j].vars}
+    comp_unpinned = {v for v in comp_vars if v not in sigma}
+    near = {i for v in comp_vars for i in by_var.get(v, ())}
+    for i in sorted(near.difference(component)):
+        c = clauses[i]
+        if c.satisfied_under(sigma):
+            continue
+        if any(v in comp_unpinned for v in c.vars if v not in sigma):
+            raise CnfError(
+                "clause %d stays unpinned-adjacent to the component "
+                "and unsatisfied" % i
+            )
+
+
+def _walk(root, tree, tau, leaf, check=False):
+    """The leaf of `tree` that the run on tau from `root` ends at.
+
+    A run reads tau only at the variables it pins, so the runs from one
+    root form a decision tree: `tree` maps the tuple of tau's bits read so
+    far to the variable pinned next, or, where a run ended, to the leaf
+    `leaf(S, trace, tau)` of the first run that did.  A path no run took
+    before is expanded once: its known pins are replayed on a copy of the
+    root's state, one step catches the component up (a pinned variable is
+    alive, so the component only grows along a run), and the run steps on
+    to its end.  With check, each new step and the end are checked as
+    `reveal`'s check_invariants asks; a path's checks depend on the path
+    alone, and the new nodes are recorded only when the run has passed
+    them all, so a checked tree never holds an unchecked path.
+    """
+    path, read = [], ()
+    node = tree.get(read)
+    while isinstance(node, int):
+        path.append(node)
+        read += ((tau >> node) & 1,)
+        node = tree.get(read)
+    if node is not None:
+        return node
+    state = root.state.copy()
+    for v in path:
+        state.pin(v, bool((tau >> v) & 1))
+    v = state.step(root.c0)[1] if path else root.first
+    new = {}
+    while v is not None:
+        new[read] = v
+        state.pin(v, bool((tau >> v) & 1))
+        if check:
+            _check_step(state, v, root.floor_needed)
+        path.append(v)
+        read += ((tau >> v) & 1,)
+        v = state.step(root.c0)[1]
+    if check:
+        _check_end(state)
+    trace = tuple(path)
+    new[read] = node = leaf(tuple(sorted(state.sigma)), trace, tau)
+    tree.update(new)
+    return node
+
+
+def _result(prefix, c0, S, trace, tau):
+    """A run's RevealResult; tau_S is the caller's own prefix, then tau's
+    bits at the revealed variables in the order they were pinned."""
+    tau_S = dict(prefix)
+    for v in trace:
+        tau_S[v] = bool((tau >> v) & 1)
+    return RevealResult(S=S, tau_S=tau_S, c0=c0, trace=trace)
 
 
 def _early(prefix, reason):
@@ -312,6 +424,11 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
     frozen threshold, and at termination that every clause adjacent to the
     associated component is satisfied or shares no unpinned variable with
     it.  Violations raise CnfError.
+
+    The formula object keeps what a run fixes before it reads tau, once per
+    (target, prefix, params), and a decision tree per check_invariants
+    value of the paths earlier calls took: a call walks it with tau's bits
+    and runs steps only past its end.  Inputs are checked on every call.
     """
     if not 0 <= tau < 1 << formula.n:
         raise ValueError("tau %d out of range [0, 2^%d)" % (tau, formula.n))
@@ -324,44 +441,18 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
             )
         if bool((tau >> v) & 1) != bool(value):
             raise ValueError("tau disagrees with the prefix at variable %d" % v)
-    k, early, c0_index, state = _start(formula, target, prefix, params)
-    if early is not None:
-        return _early(prefix, early)
-    sigma, bad = state.sigma, state.bad
-    clauses, by_var = formula.clauses, formula.by_var
-    trace = []
-    while True:
-        component, v = state.step(c0_index)
-        if v is None:
-            break
-        state.pin(v, bool((tau >> v) & 1))
-        trace.append(v)
-        if check_invariants:
-            floor_needed = params.zeta * k - 1
-            for i in by_var[v]:
-                c = clauses[i]
-                if i in bad.c_bad or clause_status(c, sigma).kind == SATISFIED:
-                    continue
-                if not len(_unpinned_good(c, sigma, bad)) > floor_needed:
-                    raise CnfError(
-                        "revealing %d froze clause %d below the threshold" % (v, i)
-                    )
-    if check_invariants:
-        comp_vars = {v for j in component for v in clauses[j].vars}
-        comp_unpinned = {v for v in comp_vars if v not in sigma}
-        near = {i for v in comp_vars for i in by_var.get(v, ())}
-        for i in sorted(near.difference(component)):
-            c = clauses[i]
-            if clause_status(c, sigma).kind == SATISFIED:
-                continue
-            if any(v in comp_unpinned for v in c.vars if v not in sigma):
-                raise CnfError(
-                    "clause %d stays unpinned-adjacent to the component "
-                    "and unsatisfied" % i
-                )
-    return RevealResult(
-        S=tuple(sorted(sigma)), tau_S=sigma, c0=c0_index, trace=tuple(trace)
-    )
+    root = _root(formula, target, prefix, params)
+    if root.early is not None:
+        return _early(prefix, root.early)
+    check = bool(check_invariants)
+    S, trace = _walk(root, root.trees[check], tau, _bare_leaf, check)
+    return _result(prefix, root.c0, S, trace, tau)
+
+
+def _bare_leaf(S, trace, tau):
+    """`reveal`'s leaf: no tau_S, which each call builds from its own
+    prefix and tau."""
+    return S, trace
 
 
 @dataclass(frozen=True)
@@ -399,7 +490,7 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
     by_var = formula.by_var
     holding = () if target in tau_S else by_var.get(target, ())
     start = next(
-        (i for i in holding if clause_status(clauses[i], tau_S).kind != SATISFIED),
+        (i for i in holding if not clauses[i].satisfied_under(tau_S)),
         None,
     )
     if start is None:
@@ -415,7 +506,7 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
             for w in by_var[v]:
                 if w not in examined:
                     examined.add(w)
-                    if clause_status(clauses[w], tau_S).kind != SATISFIED:
+                    if not clauses[w].satisfied_under(tau_S):
                         component.add(w)
                         stack.append(w)
     size = {i: sum(1 for v in clauses[i].vars if v not in tau_S) for i in component}
@@ -426,7 +517,7 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
     if small:
         c = clauses[small[0]]
         exceptional = sum(
-            1 for d in clauses[:small[0]] if clause_status(d, tau_S).kind != SATISFIED
+            1 for d in clauses[:small[0]] if not d.satisfied_under(tau_S)
         )
         if size[small[0]] == 1 and target in c.vars:
             if target_value is None or bool(target_value) == c.forbidden_value(target):
@@ -454,11 +545,11 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     prefix-conditioned uniform distribution produces a nice result, with a
     Wilson 95% interval.
 
-    A run reads tau only at the variables it pins, so the runs form a
-    decision tree.  Its nodes are expanded once, when a trial first reaches
-    them, by replaying their path on a copy of the state at the prefix; a
-    leaf keeps its RevealResult and NiceReport for later trials.  The tree
-    is dropped on return.
+    The trials walk a decision tree over the runs from the formula's
+    memoised root for (target, prefix, params), with `reveal`'s walker: a
+    path is expanded when a trial first takes it, and a leaf keeps its
+    RevealResult and NiceReport for later trials.  The tree is local to the
+    call and dropped on return, so a repeated estimate repeats its work.
 
     The first `traces` trials measured (all of them if there are fewer) are
     kept on the result as (tau, RevealResult, NiceReport) tuples.
@@ -468,44 +559,23 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     space = _space(formula, limit, _UNSAT).restrict(prefix)
     if space.count == 0:
         raise InfeasiblePinningError("no solution agrees with the prefix")
-    _, early, c0, start = _start(formula, target, prefix, params)
+    root = _root(formula, target, prefix, params)
 
     def finish(result):
         return result, is_nice(formula, result, target, prefix, params.zeta,
                                k=params.k, target_value=target_value)
 
-    # the values read so far -> the variable read next, or at a leaf the
-    # run's (RevealResult, NiceReport)
-    tree = {} if early is None else {(): finish(_early(prefix, early))}
+    def leaf(S, trace, tau):
+        return finish(_result(prefix, root.c0, S, trace, tau))
+
+    tree = {} if root.early is None else {(): finish(_early(prefix, root.early))}
     rng = SeededRng(seed)
     successes = 0
     diagnosis_counts = {}
     kept = []
     for i in range(trials):
         tau = space.select(rng.randbelow(space.count))
-        path, read = [], ()
-        node = tree.get(read)
-        while isinstance(node, int):
-            path.append(node)
-            read += ((tau >> node) & 1,)
-            node = tree.get(read)
-        if node is None:
-            # a path no trial took before: replay it, then reveal on
-            state = start.copy()
-            for v in path:
-                state.pin(v, bool((tau >> v) & 1))
-            _, v = state.step(c0)
-            while v is not None:
-                tree[read] = v
-                state.pin(v, bool((tau >> v) & 1))
-                path.append(v)
-                read += ((tau >> v) & 1,)
-                _, v = state.step(c0)
-            node = tree[read] = finish(RevealResult(
-                S=tuple(sorted(state.sigma)), tau_S=state.sigma, c0=c0,
-                trace=tuple(path),
-            ))
-        result, report = node
+        result, report = _walk(root, tree, tau, leaf)
         if i < traces:
             kept.append((tau, replace(result, tau_S=dict(result.tau_S)), report))
         if report.nice:

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import Clause, CnfFormula, clause_status, SATISFIED
+from .core import Clause, CnfFormula
 
 
 def asymptotic_parameters(k) -> dict:
@@ -194,7 +194,7 @@ def modified_bad_sets(formula: CnfFormula, cstar, prefix, c0_index,
     c0 = formula.clauses[c0_index]
     if c0.tautology:
         raise ValueError("c0 must be a proper clause")
-    if clause_status(c0, prefix).kind == SATISFIED:
+    if c0.satisfied_under(prefix):
         raise ValueError("c0 must be unsatisfied under the prefix")
     threshold = 2 * k ** 0.8
     c_intersect = (

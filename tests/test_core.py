@@ -8,19 +8,16 @@ from cnflab import (
     CnfFormula,
     KdsParams,
     ParseError,
-    SATISFIED,
-    UNDETERMINED,
-    VIOLATED,
     GadgetSpec,
     assignment_from_bools,
     assignment_to_bools,
-    clause_status,
     gen_disjoint_family,
     gen_gadget,
     kds_parameters,
     parse_dimacs,
     write_dimacs,
 )
+import naive
 from util import F, pos, neg, from_bits
 
 
@@ -75,13 +72,25 @@ def test_clause_validation():
         Clause((0,), 1, True)  # tautology carries no pattern
 
 
-def test_clause_status_transitions():
+def test_satisfied_under_pinning():
     c = Clause.from_literals([(0, False), (1, True)])
-    assert clause_status(c, {}) == (UNDETERMINED, (0, 1))
-    assert clause_status(c, {0: True}).kind == SATISFIED
-    assert clause_status(c, {0: False}) == (UNDETERMINED, (1,))
-    assert clause_status(c, {0: False, 1: True}).kind == VIOLATED
-    assert clause_status(c, {1: False}).kind == SATISFIED
+    assert not c.satisfied_under({})
+    assert c.satisfied_under({0: True})
+    assert not c.satisfied_under({0: False})
+    assert not c.satisfied_under({0: False, 1: True})  # violated
+    assert c.satisfied_under({1: False})
+    assert c.satisfied_under({1: 0}) and not c.satisfied_under({0: 0})  # read with bool
+    assert Clause((0, 1), 0, True).satisfied_under({})  # a tautology always
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=6),
+    st.dictionaries(st.integers(0, 7), st.sampled_from([False, True, 0, 1])),
+)
+def test_satisfied_under_matches_naive(literals, pinning):
+    expected = (naive._clause_key(literals) is None
+                or naive._satisfied_by_partial(literals, pinning))
+    assert Clause.from_literals(literals).satisfied_under(pinning) == expected
 
 
 def test_formula_rejects_out_of_range_clause():

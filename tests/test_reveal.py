@@ -1,5 +1,8 @@
 """Revealing process, niceness predicate, and iterative clause elimination."""
 
+import gc
+import importlib
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cnflab import (
     Clause,
+    CnfError,
     CnfFormula,
     GadgetSpec,
     InfeasiblePinningError,
@@ -27,11 +31,14 @@ from cnflab import (
     reveal,
     wilson_interval,
 )
-from cnflab.reveal import RevealResult, _start
+from cnflab.reveal import RevealResult, _Root
 from cnflab.structure import BadSets, EMPTY_BAD_SETS, var_to_clauses
 
 import naive
 from util import F, bits, pos, neg, from_bits, to_naive
+
+# the package exports the function `reveal` under the module's name
+reveal_module = importlib.import_module("cnflab.reveal")
 
 
 # (v0 | v1), (v0 | v2), (v2 | v3), plus an untouched variable 4
@@ -243,12 +250,12 @@ def _run_state(f, tau, c0, state, oracle=None):
 def test_incremental_state_matches_component_oracle_at_every_step(run):
     n, clauses, tau, target, prefix, params = run
     f = F(n, *clauses)
-    k, early, c0, state = _start(f, target, prefix, params)
-    if early is not None:
+    root = _Root(f, target, prefix, params)
+    if root.early is not None:
         return
-    bad = state.bad
-    oracle = (clauses, set(bad.v_bad), set(bad.c_bad), params.zeta, k)
-    pinned = _run_state(f, from_bits(tau), c0, state, oracle)
+    bad = root.state.bad
+    oracle = (clauses, set(bad.v_bad), set(bad.c_bad), params.zeta, root.k)
+    pinned = _run_state(f, from_bits(tau), root.c0, root.state, oracle)
     assert tuple(pinned) == reveal(f, from_bits(tau), target, prefix, params).trace
 
 
@@ -260,9 +267,9 @@ def test_stepping_a_copy_leaves_the_original_unchanged():
     _, clauses = to_naive(f)
     steps = 0
     for tau in enumerate_solutions(f).solutions[::7]:
-        k, _, c0, state = _start(f, target, {}, params)
-        bad = state.bad
-        oracle = (clauses, set(bad.v_bad), set(bad.c_bad), params.zeta, k)
+        root = _Root(f, target, {}, params)
+        c0, state, bad = root.c0, root.state, root.state.bad
+        oracle = (clauses, set(bad.v_bad), set(bad.c_bad), params.zeta, root.k)
         expected = reveal(f, tau, target, {}, params).trace
         pinned = []
         while True:
@@ -321,6 +328,197 @@ def test_reveal_matches_per_step_oracle_on_generated_formulas(f):
                 S, tau_S, c0, trace, early)
             steps += len(r.trace)
     assert steps > 100
+
+
+def _agreeing(f, prefix):
+    return [tau for tau in enumerate_solutions(f).solutions
+            if all(bool((tau >> v) & 1) == bool(x) for v, x in prefix.items())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(revealing_runs(), st.randoms(use_true_random=False))
+def test_memoised_reveal_matches_oracle_and_a_fresh_formula(run, rnd):
+    # every agreeing solution in a shuffled order, alternating the checks,
+    # on one formula object whose memo warms up as the calls go
+    n, clauses, _, target, prefix, params = run
+    f = F(n, *clauses)
+    cstar = None if params.cstar is None else params.cstar.vars
+    solutions = _agreeing(f, prefix)
+    rnd.shuffle(solutions)
+    for i, tau in enumerate(solutions):
+        check = i % 2 == 1
+        r = reveal(f, tau, target, prefix, params, check_invariants=check)
+        fresh = reveal(F(n, *clauses), tau, target, prefix, params,
+                       check_invariants=check)
+        S, tau_S, c0, trace, early = naive.reveal(
+            n, clauses, bits(tau, n), target, prefix, params.alpha, params.p_hd,
+            params.eps_bd, params.zeta, k=params.k, cstar=cstar,
+        )
+        assert r == fresh
+        assert (list(r.S), r.c0, list(r.trace), r.early_reason) == (S, c0, trace, early)
+        assert list(r.tau_S.items()) == list(fresh.tau_S.items()) == list(tau_S.items())
+
+
+def test_reveal_results_carry_the_callers_prefix_values():
+    # {v: 1} and {v: True} share one memo entry, but each result's tau_S
+    # holds the caller's own objects, in the estimator's traces too
+    f = gen_linear_cnf(3, 2, 12, "oracle-linear")
+    degrees = f.variable_degrees()
+    target = max(range(f.n), key=lambda v: (degrees[v], -v))
+    params = RevealParams(alpha=1.0, p_hd=100.0, eps_bd=0.5, zeta=0.4)
+    v = next(u for u in range(f.n) if u != target)
+    solutions = _agreeing(f, {v: True})
+    for order in ((1, True), (True, 1)):
+        g = CnfFormula(f.n, f.clauses)
+        for value in order:
+            prefix = {v: value}
+            for tau in solutions:
+                r = reveal(g, tau, target, prefix, params, check_invariants=value is True)
+                assert type(r.tau_S[v]) is type(value)
+                assert list(r.tau_S.items()) == list(
+                    reveal(CnfFormula(f.n, f.clauses), tau, target, prefix,
+                           params).tau_S.items())
+            est = estimate_nice_probability(g, target, prefix, 20, "own", params,
+                                            traces=20)
+            assert all(type(result.tau_S[v]) is type(value)
+                       for _, result, _ in est.traces)
+    assert len(g._reveal_roots) == 1
+
+
+def test_reveal_memo_tells_equal_parameters_of_different_types_apart():
+    # 0.7 * 10 rounds to 7.0, while Fraction(0.7) * 10 is exactly below 7,
+    # so the variable of degree 7 is bad under the Fraction only
+    f = F(10, *[pos(0, i) for i in range(1, 8)], pos(7, 8), pos(8, 9))
+    as_float = RevealParams(alpha=10, p_hd=0.7, eps_bd=1.0, zeta=0.4)
+    as_fraction = RevealParams(alpha=10, p_hd=Fraction(0.7), eps_bd=1.0, zeta=0.4)
+    assert as_float == as_fraction
+    solutions = enumerate_solutions(f).solutions
+    for order in ((as_float, as_fraction), (as_fraction, as_float)):
+        g = CnfFormula(f.n, f.clauses)
+        for params in order:
+            for tau in solutions:
+                assert reveal(g, tau, 8, {}, params) == reveal(
+                    CnfFormula(f.n, f.clauses), tau, 8, {}, params)
+    assert reveal(f, solutions[0], 8, {}, as_float).trace == (0, 9)
+    assert reveal(f, solutions[0], 8, {}, as_fraction).trace == (1, 2, 3, 4, 5, 6, 9)
+
+
+def test_reveal_validation_with_a_warm_memo():
+    f = gen_linear_cnf(3, 2, 12, "oracle-linear")
+    target = f.clauses[0].vars[0]
+    other = next(v for v in range(f.n) if v != target)
+    solutions = enumerate_solutions(f).solutions
+    non_solution = next(a for a in range(1 << f.n) if not f.satisfied_by(a))
+    tau = solutions[0]
+    prefix = {other: bool((tau >> other) & 1)}
+    for check in (False, True):
+        for t in solutions:
+            reveal(f, t, target, {}, PARAMS, check_invariants=check)
+        reveal(f, tau, target, prefix, PARAMS, check_invariants=check)
+        bad_calls = [
+            (tau + (1 << f.n), target, {}, r"tau \d+ out of range"),
+            (-1, target, {}, r"tau -1 out of range"),
+            (non_solution, target, {}, "tau must be a satisfying assignment"),
+            (tau, target, {other: not prefix[other]}, "tau disagrees with the prefix"),
+            (tau, target, {f.n: False}, "prefix variable %d out of range" % f.n),
+            (tau, other, prefix, "the target variable is already pinned"),
+            (tau, f.n, {}, "target variable out of range"),
+            (tau, -1, {}, "target variable out of range"),
+        ]
+        for t, tgt, pre, message in bad_calls:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    reveal(f, t, tgt, pre, PARAMS, check_invariants=check)
+    with pytest.raises(ValueError, match="already pinned"):
+        estimate_nice_probability(f, other, prefix, 5, "s", PARAMS)
+    with pytest.raises(ValueError, match="target variable out of range"):
+        estimate_nice_probability(f, f.n, {}, 5, "s", PARAMS)
+
+
+def _generated_run():
+    f = gen_linear_cnf(3, 2, 12, "oracle-linear")
+    degrees = f.variable_degrees()
+    target = max(range(f.n), key=lambda v: (degrees[v], -v))
+    params = RevealParams(alpha=1.0, p_hd=100.0, eps_bd=0.5, zeta=0.4)
+    return f, target, params, enumerate_solutions(f).solutions
+
+
+def test_a_checked_call_is_never_served_from_the_unchecked_tree(monkeypatch):
+    f, target, params, solutions = _generated_run()
+    results = [reveal(f, tau, target, {}, params) for tau in solutions]
+    # no unpinned good variable left: every step that leaves a good clause
+    # unsatisfied now falls to the frozen threshold
+    monkeypatch.setattr(reveal_module, "_unpinned_good", lambda c, sigma, bad: [])
+    raised = 0
+    for tau, before in zip(solutions, results):
+        assert reveal(f, tau, target, {}, params) == before
+        try:
+            reveal(CnfFormula(f.n, f.clauses), tau, target, {}, params,
+                   check_invariants=True)
+        except CnfError:
+            raised += 1
+            with pytest.raises(CnfError, match="below the threshold"):
+                reveal(f, tau, target, {}, params, check_invariants=True)
+        else:
+            assert reveal(f, tau, target, {}, params, check_invariants=True) == before
+    assert raised
+    # the end check too: every checked run expanded now fails it
+    monkeypatch.undo()
+    g = CnfFormula(f.n, f.clauses)
+    for tau in solutions:
+        reveal(g, tau, target, {}, params)
+
+    def failing_end(state):
+        raise CnfError("planted end failure")
+
+    monkeypatch.setattr(reveal_module, "_check_end", failing_end)
+    for tau, before in zip(solutions, results):
+        assert reveal(g, tau, target, {}, params) == before
+        with pytest.raises(CnfError, match="planted end failure"):
+            reveal(g, tau, target, {}, params, check_invariants=True)
+
+
+def test_a_failed_check_records_no_part_of_its_path(monkeypatch):
+    # a run that fails its check at its last step must not leave its first
+    # steps in the checked tree, where a later call would pass them unchecked
+    f, target, params, solutions = _generated_run()
+    tau = max(solutions, key=lambda t: len(reveal(f, t, target, {}, params).trace))
+    trace = reveal(f, tau, target, {}, params).trace
+    assert len(trace) >= 2
+    check_step = reveal_module._check_step
+
+    def failing_at(var):
+        def check(state, v, floor_needed):
+            if v == var:
+                raise CnfError("planted failure at %d" % v)
+            check_step(state, v, floor_needed)
+        return check
+
+    monkeypatch.setattr(reveal_module, "_check_step", failing_at(trace[-1]))
+    with pytest.raises(CnfError, match="planted failure at %d" % trace[-1]):
+        reveal(f, tau, target, {}, params, check_invariants=True)
+    monkeypatch.setattr(reveal_module, "_check_step", failing_at(trace[0]))
+    with pytest.raises(CnfError, match="planted failure at %d" % trace[0]):
+        reveal(f, tau, target, {}, params, check_invariants=True)
+    monkeypatch.setattr(reveal_module, "_check_step", check_step)
+    assert reveal(f, tau, target, {}, params, check_invariants=True).trace == trace
+
+
+def test_a_formula_with_a_warm_memo_is_freed_without_the_cycle_collector():
+    f, target, params, solutions = _generated_run()
+    gc.collect()
+    gc.disable()
+    try:
+        for check in (False, True):
+            for tau in solutions[::5]:
+                reveal(f, tau, target, {}, params, check_invariants=check)
+        estimate_nice_probability(f, target, {}, 10, "s", params)
+        assert f._reveal_roots
+        ref = weakref.ref(f)
+        del f
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _check_estimate_against_trials(f, target, prefix, params, target_value):
