@@ -221,6 +221,22 @@ class CnfFormula:
         )
 
     @functools.cached_property
+    def _clause_masks(self) -> tuple:
+        """Per clause, (variable mask, forbidden bits in place): bit v of
+        each is set for a variable v of the clause, in the second when its
+        forbidden value is True.  An assignment a satisfies the clause iff
+        a & mask != bits; a tautology is (0, 1) and an empty clause (0, 0),
+        so that test holds for them too, at any int a."""
+        out = []
+        for c in self.clauses:
+            mask = bits = 0
+            for i, v in enumerate(c.vars):
+                mask |= 1 << v
+                bits |= ((c.forbidden >> i) & 1) << v
+            out.append((0, 1) if c.tautology else (mask, bits))
+        return tuple(out)
+
+    @functools.cached_property
     def _reveal_roots(self) -> dict:
         """The revealing process's memo for this formula object, filled by
         `reveal`: one entry per (target, prefix, parameters) run, holding
@@ -228,8 +244,18 @@ class CnfFormula:
         of the paths taken so far.  An equal formula object has its own."""
         return {}
 
+    @functools.cached_property
+    def _nice_verdicts(self) -> dict:
+        """`reveal.is_nice`'s memo for this formula object: one verdict per
+        (target, zeta, k, target value, packed pinning) decided so far.  An
+        equal formula object has its own."""
+        return {}
+
     def satisfied_by(self, assignment: int) -> bool:
-        return all(c.satisfied_by(assignment) for c in self.clauses)
+        for mask, bits in self._clause_masks:
+            if assignment & mask == bits:
+                return False
+        return True
 
     def variable_degrees(self):
         """Occurrence count per variable, tautologies excluded."""
@@ -240,22 +266,6 @@ class CnfFormula:
             for v in c.vars:
                 deg[v] += 1
         return deg
-
-
-def assignment_from_bools(values) -> int:
-    a = 0
-    for i, x in enumerate(values):
-        if x:
-            a |= 1 << i
-    return a
-
-
-def assignment_to_bools(assignment: int, n: int):
-    return tuple(bool((assignment >> i) & 1) for i in range(n))
-
-
-def clause_satisfied(clause: Clause, assignment: int) -> bool:
-    return clause.satisfied_by(assignment)
 
 
 def kds_parameters(formula: CnfFormula) -> KdsParams:

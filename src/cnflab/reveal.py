@@ -23,7 +23,7 @@ from fractions import Fraction
 from .core import Clause, CnfFormula, CnfError, InfeasiblePinningError
 from .rand import SeededRng
 from .solutions import _UNSAT, _space
-from .structure import BadSets, identify_bad, modified_bad_sets
+from .structure import identify_bad, modified_bad_sets
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,6 @@ class RevealParams:
     zeta: float
     k: int | None = None  # defaults to the formula's largest clause size
     cstar: Clause | None = None  # candidate-clause context for the bad sets
-
-
-@dataclass(frozen=True)
-class ClauseClassification:
-    frozen: frozenset
-    blocked: frozenset
-    satisfied: frozenset
-    other: frozenset
 
 
 def _resolve_k(formula, k):
@@ -134,6 +126,10 @@ class _RevealState:
                 self._freeze_if_due(i)
 
     def alive(self, v):
+        """Good, unpinned and in no frozen clause.  The definition asks that
+        every good unsatisfied clause holding v keep more than zeta*k - 1
+        other unpinned good variables; v is one of its len(good), so that
+        is "more than zeta*k", i.e. the clause is not frozen."""
         return (v not in self.sigma and v not in self.bad.v_bad
                 and not self.frozen_count[v])
 
@@ -200,52 +196,6 @@ class _RevealState:
         while heap and not self.alive(heap[0]):
             heapq.heappop(heap)
         return self.component, heap[0] if heap else None
-
-
-def classify_clauses(formula: CnfFormula, sigma, bad: BadSets, zeta,
-                     k=None) -> ClauseClassification:
-    """Partition clause indices under the partial assignment sigma.
-
-    frozen: good (not bad), unsatisfied, with at most zeta*k unpinned good
-    variables.  blocked: good, unsatisfied, above the frozen threshold, but
-    every unpinned good variable lies in some frozen clause's variable set.
-    Everything else unsatisfied (bad clauses, ordinary active clauses) lands
-    in `other`; tautologies count as satisfied.
-    """
-    state = _RevealState(formula, sigma, bad, zeta, k)
-    everything = range(len(formula.clauses))
-    satisfied = frozenset(i for i in everything if state.satisfied[i])
-    frozen = frozenset(i for i in everything if state.frozen[i])
-    blocked = frozenset(i for i in everything if state.blocked(i))
-    other = frozenset(everything).difference(satisfied, frozen, blocked)
-    return ClauseClassification(frozen, blocked, satisfied, other)
-
-
-def alive_variables(formula: CnfFormula, sigma, bad: BadSets, zeta, k=None):
-    """Good unpinned variables whose revelation cannot freeze anything: every
-    good clause containing the variable is either satisfied by sigma or keeps
-    strictly more than zeta*k - 1 other unpinned good variables.
-
-    Such a clause counts the variable itself among its unpinned good
-    variables, so it keeps len(good) - 1 others, and "more than zeta*k - 1
-    others" is "more than zeta*k unpinned good variables": the clause is not
-    frozen.  Alive is therefore the good unpinned variables lying in no
-    frozen clause, which the reveal state alone decides.
-    """
-    state = _RevealState(formula, sigma, bad, zeta, k)
-    return frozenset(v for v in range(formula.n) if state.alive(v))
-
-
-def associated_component(formula: CnfFormula, sigma, bad: BadSets, zeta,
-                         c_index, k=None):
-    """Closure of a bad clause under frozen/blocked/bad neighbors reachable
-    through shared unpinned variables; returns (A, A plus its unpinned
-    neighborhood), both as sorted index tuples."""
-    if c_index not in bad.c_bad:
-        raise ValueError("clause %d is not in the bad set" % c_index)
-    state = _RevealState(formula, sigma, bad, zeta, k)
-    component, _ = state.step(c_index)
-    return tuple(sorted(component)), tuple(sorted(state.ext))
 
 
 EARLY_SPARSE = "sparse-alpha"
@@ -475,24 +425,63 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
     and |C'| <= log2 n.  The diagnosis names the first failed condition.
     `exceptional` is that clause's index among the clauses tau_S leaves
     unsatisfied, i.e. in the simplified formula.
+
+    The formula object keeps the component search's verdict once per
+    (target, zeta, k, target_value, tau_S), the types of target, zeta and
+    k included and the values read through bool, so a call on a pinning
+    decided before costs its checks and one dict lookup.  The early
+    verdicts and the range checks run on every call, and a call that
+    raises stores nothing.
     """
-    k = _resolve_k(formula, k)
+    return _nice(formula, result, target, prefix, zeta, k, target_value,
+                 formula._nice_verdicts)
+
+
+def _nice(formula, result, target, prefix, zeta, k, target_value, verdicts):
+    """`is_nice` over the memo `verdicts`, or without one when it is None."""
     if target in result.S:
         return NiceReport(False, "target-pinned", 0, None)
-    for v, value in prefix.items():
-        if v not in result.tau_S or bool(result.tau_S[v]) != bool(value):
-            return NiceReport(False, "prefix-mismatch", 0, None)
     tau_S = result.tau_S
-    for v in tau_S:
+    for v, value in prefix.items():
+        if v not in tau_S or bool(tau_S[v]) != bool(value):
+            return NiceReport(False, "prefix-mismatch", 0, None)
+    if not 0 <= target < formula.n:
+        raise ValueError("target variable out of range")
+    pinned = values = 0
+    for v, value in tau_S.items():
         if not 0 <= v < formula.n:
             raise ValueError("pinned variable %d out of range" % v)
-    clauses = formula.clauses
-    by_var = formula.by_var
-    holding = () if target in tau_S else by_var.get(target, ())
-    start = next(
-        (i for i in holding if not clauses[i].satisfied_under(tau_S)),
-        None,
-    )
+        pinned |= 1 << v
+        if value:
+            values |= 1 << v
+    k = _resolve_k(formula, k)
+    if target_value is not None:
+        target_value = bool(target_value)
+    args = (formula, target, pinned, values, zeta, k, target_value)
+    if verdicts is None:
+        return _verdict(*args)
+    key = (target, type(target), zeta, type(zeta), k, type(k), target_value,
+           pinned, values)
+    report = verdicts.get(key)
+    if report is None:
+        report = verdicts[key] = _verdict(*args)
+    return report
+
+
+def _verdict(formula, target, pinned, values, zeta, k, target_value):
+    """`is_nice`'s component search under tau_S packed as two masks: bit v
+    of `pinned` is set for a pinned v, and of `values` for one pinned True.
+    A clause with masks (m, f) (`CnfFormula._clause_masks`) is satisfied
+    under it iff m & pinned & (values ^ f) != 0, or it is a tautology,
+    (0, 1), the only clause with f > m."""
+    clauses, masks, by_var = formula.clauses, formula._clause_masks, formula.by_var
+
+    def unsatisfied(i):
+        m, f = masks[i]
+        return not m & pinned & (values ^ f) and f <= m
+
+    holding = () if pinned >> target & 1 else by_var.get(target, ())
+    start = next(filter(unsatisfied, holding), None)
     if start is None:
         return NiceReport(True, "isolated", 0, None)
     component = {start}
@@ -501,26 +490,26 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
     while stack:
         j = stack.pop()
         for v in clauses[j].vars:
-            if v in tau_S:
+            if pinned >> v & 1:
                 continue
             for w in by_var[v]:
                 if w not in examined:
                     examined.add(w)
-                    if not clauses[w].satisfied_under(tau_S):
+                    if unsatisfied(w):
                         component.add(w)
                         stack.append(w)
-    size = {i: sum(1 for v in clauses[i].vars if v not in tau_S) for i in component}
-    small = sorted(i for i in component if size[i] < zeta * k - 1)
+    small = sorted(
+        i for i in component if (masks[i][0] & ~pinned).bit_count() < zeta * k - 1
+    )
     if len(small) > 1:
         return NiceReport(False, "small-clauses", len(component), None)
     exceptional = None
     if small:
-        c = clauses[small[0]]
-        exceptional = sum(
-            1 for d in clauses[:small[0]] if not d.satisfied_under(tau_S)
-        )
-        if size[small[0]] == 1 and target in c.vars:
-            if target_value is None or bool(target_value) == c.forbidden_value(target):
+        i = small[0]
+        m, f = masks[i]
+        exceptional = sum(map(unsatisfied, range(i)))
+        if m & ~pinned == 1 << target:
+            if target_value is None or target_value == bool(f >> target & 1):
                 return NiceReport(False, "exceptional", len(component), exceptional)
     if not len(component) <= math.log2(formula.n):
         return NiceReport(False, "size", len(component), exceptional)
@@ -549,7 +538,8 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     memoised root for (target, prefix, params), with `reveal`'s walker: a
     path is expanded when a trial first takes it, and a leaf keeps its
     RevealResult and NiceReport for later trials.  The tree is local to the
-    call and dropped on return, so a repeated estimate repeats its work.
+    call and dropped on return, and a leaf's verdict is decided without
+    `is_nice`'s memo, so a repeated estimate repeats its work.
 
     The first `traces` trials measured (all of them if there are fewer) are
     kept on the result as (tau, RevealResult, NiceReport) tuples.
@@ -562,8 +552,8 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     root = _root(formula, target, prefix, params)
 
     def finish(result):
-        return result, is_nice(formula, result, target, prefix, params.zeta,
-                               k=params.k, target_value=target_value)
+        return result, _nice(formula, result, target, prefix, params.zeta,
+                             params.k, target_value, None)
 
     def leaf(S, trace, tau):
         return finish(_result(prefix, root.c0, S, trace, tau))

@@ -9,8 +9,6 @@ from cnflab import (
     KdsParams,
     ParseError,
     GadgetSpec,
-    assignment_from_bools,
-    assignment_to_bools,
     gen_disjoint_family,
     gen_gadget,
     kds_parameters,
@@ -18,7 +16,7 @@ from cnflab import (
     write_dimacs,
 )
 import naive
-from util import F, pos, neg, from_bits
+from util import F, bits, pos, neg, from_bits
 
 
 def test_from_literals_canonicalizes():
@@ -104,17 +102,30 @@ def test_satisfied_by_whole_formula():
     assert not f.satisfied_by(from_bits([False, False, True]))
 
 
-def test_assignment_bool_roundtrip():
-    values = (True, False, False, True, True)
-    a = assignment_from_bools(values)
-    assert a == 0b11001
-    assert assignment_to_bools(a, 5) == values
+def test_clause_masks_of_tautologies_and_empty_clauses():
+    f = F(4, [(1, False), (3, True)], [(2, False), (2, True)], [])
+    assert f._clause_masks == ((0b1010, 0b1000), (0, 1), (0, 0))
+    # the empty clause is never satisfied, at any int
+    assert not any(map(f.satisfied_by, [0, 15, -1, 1 << 40]))
 
 
-@given(st.lists(st.booleans(), max_size=12))
-def test_assignment_roundtrip_property(values):
-    a = assignment_from_bools(values)
-    assert assignment_to_bools(a, len(values)) == tuple(values)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                          max_size=4), max_size=6),
+    )),
+    st.integers(-(1 << 10), 1 << 10),
+)
+def test_formula_satisfied_by_matches_a_clause_by_clause_check(formula, a):
+    # tautologies and empty clauses included, and assignments that are
+    # negative or have bits at or above n
+    n, clauses = formula
+    f = F(n, *clauses)
+    assert f.satisfied_by(a) == all(c.satisfied_by(a) for c in f.clauses)
+    if 0 <= a < 1 << n:
+        assert f.satisfied_by(a) == all(
+            naive.clause_satisfied(c, bits(a, n)) for c in clauses)
 
 
 def test_kds_parameters_known_families():

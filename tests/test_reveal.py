@@ -18,9 +18,6 @@ from cnflab import (
     RevealParams,
     SeededRng,
     UnsatisfiableError,
-    alive_variables,
-    associated_component,
-    classify_clauses,
     enumerate_solutions,
     estimate_nice_probability,
     gen_disjoint_family,
@@ -31,7 +28,7 @@ from cnflab import (
     reveal,
     wilson_interval,
 )
-from cnflab.reveal import RevealResult, _Root
+from cnflab.reveal import RevealResult, _RevealState, _Root
 from cnflab.structure import BadSets, EMPTY_BAD_SETS, var_to_clauses
 
 import naive
@@ -45,51 +42,71 @@ reveal_module = importlib.import_module("cnflab.reveal")
 CHAIN = F(5, pos(0, 1), pos(0, 2), pos(2, 3))
 
 
+def _classes(f, sigma, bad, zeta, k):
+    """The clause indices a reveal state under sigma holds frozen, blocked
+    and satisfied (tautologies included), and the others."""
+    state = _RevealState(f, sigma, bad, zeta, k)
+    everything = set(range(len(f.clauses)))
+    frozen = {i for i in everything if state.frozen[i]}
+    blocked = {i for i in everything if state.blocked(i)}
+    satisfied = {i for i in everything if state.satisfied[i]}
+    return frozen, blocked, satisfied, everything - frozen - blocked - satisfied
+
+
+def _alive(f, sigma, bad, zeta, k):
+    state = _RevealState(f, sigma, bad, zeta, k)
+    return frozenset(filter(state.alive, range(f.n)))
+
+
+def _component(f, sigma, bad, zeta, c0, k):
+    """c0's associated component and its extension after a state's first
+    step, as sorted index tuples."""
+    state = _RevealState(f, sigma, bad, zeta, k)
+    component, _ = state.step(c0)
+    return tuple(sorted(component)), tuple(sorted(state.ext))
+
+
 def test_classify_frozen_and_blocked():
-    sigma = {1: False, 3: False}
-    cls = classify_clauses(CHAIN, sigma, EMPTY_BAD_SETS, zeta=0.5, k=2)
+    frozen, blocked, satisfied, other = _classes(
+        CHAIN, {1: False, 3: False}, EMPTY_BAD_SETS, 0.5, 2)
     # clauses 0 and 2 are down to one unpinned variable: frozen; clause 1's
     # unpinned variables both sit inside frozen clauses: blocked
-    assert cls.frozen == frozenset({0, 2})
-    assert cls.blocked == frozenset({1})
-    assert cls.satisfied == frozenset()
-    assert cls.other == frozenset()
+    assert frozen == {0, 2}
+    assert blocked == {1}
+    assert satisfied == set()
+    assert other == set()
 
 
 def test_classify_satisfied_and_bad():
-    cls = classify_clauses(CHAIN, {1: True}, EMPTY_BAD_SETS, zeta=0.5, k=2)
-    assert 0 in cls.satisfied
+    _, _, satisfied, _ = _classes(CHAIN, {1: True}, EMPTY_BAD_SETS, 0.5, 2)
+    assert 0 in satisfied
     bad = BadSets(frozenset(), frozenset({1}), ())
-    cls2 = classify_clauses(CHAIN, {1: False, 3: False}, bad, zeta=0.5, k=2)
-    assert 1 in cls2.other  # bad clauses are never frozen or blocked
+    _, _, _, other = _classes(CHAIN, {1: False, 3: False}, bad, 0.5, 2)
+    assert 1 in other  # bad clauses are never frozen or blocked
 
 
 def test_classify_tautology_counts_satisfied():
     taut = Clause.from_literals([(0, False), (0, True)])
     f = CnfFormula(2, (taut,))
-    cls = classify_clauses(f, {}, EMPTY_BAD_SETS, zeta=1.0, k=2)
-    assert cls.satisfied == frozenset({0})
+    assert _classes(f, {}, EMPTY_BAD_SETS, 1.0, 2)[2] == {0}
 
 
 def test_classify_bad_variables_shrink_good_sets():
     bad = BadSets(frozenset({0}), frozenset(), ())
-    cls = classify_clauses(CHAIN, {}, bad, zeta=0.5, k=2)
     # with v0 bad, clauses 0 and 1 have one good unpinned variable each
-    assert cls.frozen == frozenset({0, 1})
+    assert _classes(CHAIN, {}, bad, 0.5, 2)[0] == {0, 1}
 
 
 def test_alive_variables_chain():
-    sigma = {1: False, 3: False}
-    alive = alive_variables(CHAIN, sigma, EMPTY_BAD_SETS, zeta=0.5, k=2)
+    alive = _alive(CHAIN, {1: False, 3: False}, EMPTY_BAD_SETS, 0.5, 2)
     # v0 and v2 would freeze their clauses further; v4 sits in no clause
     assert alive == frozenset({4})
-    alive_loose = alive_variables(CHAIN, {}, EMPTY_BAD_SETS, zeta=0.5, k=2)
-    assert alive_loose == frozenset({0, 1, 2, 3, 4})
+    assert _alive(CHAIN, {}, EMPTY_BAD_SETS, 0.5, 2) == frozenset({0, 1, 2, 3, 4})
 
 
 def test_alive_excludes_pinned_and_bad():
     bad = BadSets(frozenset({4}), frozenset(), ())
-    alive = alive_variables(CHAIN, {0: True, 2: True}, bad, zeta=0.5, k=2)
+    alive = _alive(CHAIN, {0: True, 2: True}, bad, 0.5, 2)
     # clauses all satisfied; v1, v3 free; v0, v2 pinned; v4 bad
     assert alive == frozenset({1, 3})
 
@@ -97,9 +114,7 @@ def test_alive_excludes_pinned_and_bad():
 def test_associated_component_isolated():
     f = F(6, pos(0, 1), pos(3, 4))
     bad = BadSets(frozenset(), frozenset({0}), ())
-    comp, ext = associated_component(f, {}, bad, zeta=1.0, c_index=0, k=2)
-    assert comp == (0,)
-    assert ext == (0,)
+    assert _component(f, {}, bad, 1.0, 0, 2) == ((0,), (0,))
 
 
 def test_associated_component_chain_closure():
@@ -107,21 +122,14 @@ def test_associated_component_chain_closure():
     # variables; clause 3 is too wide to freeze but neighbors the component
     f = F(7, pos(0, 1), pos(1, 2), pos(2, 3), pos(3, 4, 5, 6))
     bad = BadSets(frozenset(), frozenset({0}), ())
-    comp, ext = associated_component(f, {}, bad, zeta=1.0, c_index=0, k=2)
-    assert comp == (0, 1, 2)
-    assert ext == (0, 1, 2, 3)
-
-
-def test_associated_component_requires_bad_clause():
-    with pytest.raises(ValueError):
-        associated_component(CHAIN, {}, EMPTY_BAD_SETS, zeta=1.0, c_index=0)
+    assert _component(f, {}, bad, 1.0, 0, 2) == ((0, 1, 2), (0, 1, 2, 3))
 
 
 def test_associated_component_idempotent_across_bad_members():
     f = F(7, pos(0, 1), pos(1, 2), pos(2, 3), pos(3, 4, 5, 6))
     bad = BadSets(frozenset(), frozenset({0, 1}), ())
-    comp0, _ = associated_component(f, {}, bad, zeta=1.0, c_index=0, k=2)
-    comp1, _ = associated_component(f, {}, bad, zeta=1.0, c_index=1, k=2)
+    comp0, _ = _component(f, {}, bad, 1.0, 0, 2)
+    comp1, _ = _component(f, {}, bad, 1.0, 1, 2)
     assert comp0 == comp1
 
 
@@ -152,11 +160,11 @@ def test_alive_and_component_match_definition_oracles(state):
     n, clauses, sigma, v_bad, c_bad, zeta, k = state
     f = F(n, *clauses)
     bad = BadSets(v_bad, c_bad, ())
-    assert alive_variables(f, sigma, bad, zeta, k=k) == naive.alive_variables(
+    assert _alive(f, sigma, bad, zeta, k) == naive.alive_variables(
         n, clauses, sigma, v_bad, c_bad, zeta, k
     )
     for c in sorted(c_bad):
-        assert associated_component(f, sigma, bad, zeta, c, k=k) == (
+        assert _component(f, sigma, bad, zeta, c, k) == (
             naive.associated_component(n, clauses, sigma, v_bad, c_bad, zeta, k, c)
         )
 
@@ -513,7 +521,10 @@ def test_a_formula_with_a_warm_memo_is_freed_without_the_cycle_collector():
             for tau in solutions[::5]:
                 reveal(f, tau, target, {}, params, check_invariants=check)
         estimate_nice_probability(f, target, {}, 10, "s", params)
-        assert f._reveal_roots
+        for tau in solutions[::5]:
+            r = reveal(f, tau, target, {}, params)
+            is_nice(f, r, target, {}, params.zeta, target_value=True)
+        assert f._reveal_roots and f._nice_verdicts
         ref = weakref.ref(f)
         del f
         assert ref() is None
@@ -707,36 +718,137 @@ def test_is_nice_exceptional_depends_on_target_value():
     assert not falsified.nice and falsified.diagnosis == "exceptional"
 
 
+@st.composite
+def nice_calls(draw, n):
+    """Arguments of one `is_nice` call at n variables: (S, tau_S, target,
+    prefix, zeta, k, target_value)."""
+    target = draw(st.integers(0, n - 1))
+    # one draw in ten pins the target, one in ten leaves it out of S though
+    # tau_S pins it, one in ten breaks the prefix
+    roll = draw(st.integers(0, 9))
+    pinned = draw(st.lists(
+        st.integers(0, n - 1).filter(lambda v: roll in (0, 2) or v != target),
+        unique=True, max_size=4))
+    tau_S = {v: draw(st.booleans()) for v in pinned}
+    S = tuple(v for v in sorted(tau_S) if roll != 2 or v != target)
+    prefix = {v: tau_S[v] for v in pinned[:draw(st.integers(0, len(pinned)))]}
+    if roll == 1:
+        v = draw(st.integers(0, n - 1))
+        prefix[v] = not tau_S.get(v, False)
+    # the large zetas first: they make the small clauses
+    zeta = draw(st.sampled_from(ZETAS[::-1]))
+    k = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    target_value = draw(st.sampled_from([None, False, True]))
+    return S, tau_S, target, prefix, zeta, k, target_value
+
+
+@st.composite
+def nice_formulas(draw):
+    """A formula at n <= 9 as naive literal lists (tautologies, repeated
+    literals and empty clauses included)."""
+    n = draw(st.sampled_from(range(9, 0, -1)))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    return n, draw(st.lists(st.lists(literal, max_size=5), min_size=1, max_size=10))
+
+
+def _naive_nice(n, clauses, S, tau_S, target, prefix, zeta, k, target_value):
+    return naive.is_nice(
+        n, clauses, S, {v: bool(x) for v, x in tau_S.items()}, target, prefix,
+        zeta, naive.k_max(clauses) if k is None else k, target_value,
+    )
+
+
+def _fields(report):
+    return report.nice, report.diagnosis, report.component_size, report.exceptional
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_is_nice_matches_simplify_oracle(data):
-    n = data.draw(st.sampled_from(range(9, 0, -1)))
-    literal = st.tuples(st.integers(0, n - 1), st.booleans())
-    clauses = data.draw(st.lists(st.lists(literal, max_size=5), min_size=1, max_size=10))
-    target = data.draw(st.integers(0, n - 1))
-    # one draw in ten pins the target, one in ten leaves it out of S though
-    # tau_S pins it, one in ten breaks the prefix
-    roll = data.draw(st.integers(0, 9))
-    pinned = data.draw(st.lists(
-        st.integers(0, n - 1).filter(lambda v: roll in (0, 2) or v != target),
-        unique=True, max_size=4))
-    tau_S = {v: data.draw(st.booleans()) for v in pinned}
-    S = tuple(v for v in sorted(tau_S) if roll != 2 or v != target)
-    prefix = {v: tau_S[v] for v in pinned[:data.draw(st.integers(0, len(pinned)))]}
-    if roll == 1:
-        v = data.draw(st.integers(0, n - 1))
-        prefix[v] = not tau_S.get(v, False)
-    # the large zetas first: they make the small clauses
-    zeta = data.draw(st.sampled_from(ZETAS[::-1]))
-    k = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
-    target_value = data.draw(st.sampled_from([None, False, True]))
+    n, clauses = data.draw(nice_formulas())
+    S, tau_S, target, prefix, zeta, k, target_value = data.draw(nice_calls(n))
     r = RevealResult(S=S, tau_S=tau_S, c0=None, trace=())
     rep = is_nice(F(n, *clauses), r, target, prefix, zeta, k=k, target_value=target_value)
-    expect = naive.is_nice(
-        n, clauses, S, tau_S, target, prefix, zeta,
-        naive.k_max(clauses) if k is None else k, target_value,
-    )
-    assert (rep.nice, rep.diagnosis, rep.component_size, rep.exceptional) == expect
+    assert _fields(rep) == _naive_nice(n, clauses, S, tau_S, target, prefix, zeta, k,
+                                       target_value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_memoised_is_nice_matches_oracle_and_a_fresh_formula(data):
+    # several pinnings on one formula object whose verdict memo warms up,
+    # each asked again: in another insertion order, with {v: 1} for
+    # {v: True}, with every target_value, and with zeta as a float and as
+    # the Fraction of the same value (0.5 and Fraction(1, 2) among them);
+    # and the same variables pinned to the other values outside the prefix
+    n, clauses = data.draw(nice_formulas())
+    calls = data.draw(st.lists(nice_calls(n), min_size=1, max_size=4))
+    f = F(n, *clauses)
+    for S, tau_S, target, prefix, zeta, k, _ in calls:
+        flipped = {v: x if v in prefix else not x for v, x in tau_S.items()}
+        for target_value in (None, False, True):
+            for z in (float(zeta), Fraction(zeta)):
+                for pinning in (tau_S, dict(reversed(tau_S.items())),
+                                {v: int(x) for v, x in tau_S.items()}, tau_S,
+                                flipped):
+                    r = RevealResult(S=S, tau_S=pinning, c0=None, trace=())
+                    args = (r, target, prefix, z)
+                    rep = is_nice(f, *args, k=k, target_value=target_value)
+                    assert _fields(rep) == _naive_nice(
+                        n, clauses, S, pinning, target, prefix, z, k, target_value)
+                    assert rep == is_nice(F(n, *clauses), *args, k=k,
+                                          target_value=target_value)
+    # the first four pinnings of a call share one verdict
+    assert len(f._nice_verdicts) <= len(calls) * 3 * 2 * 2
+
+
+def test_is_nice_memo_tells_equal_zetas_of_different_types_apart():
+    # 0.4 * 5 - 1 rounds to 1.0, while Fraction(0.4) * 5 - 1 is just above
+    # 1, so the two one-variable clauses are small under the Fraction only
+    f = F(8, pos(0, 1), pos(1, 2))
+    r = RevealResult(S=(0, 2), tau_S={0: False, 2: False}, c0=None, trace=())
+    as_float, as_fraction = 0.4, Fraction(0.4)
+    assert as_float == as_fraction
+    expected = {float: "component", Fraction: "small-clauses"}
+    for order in ((as_float, as_fraction), (as_fraction, as_float)):
+        g = CnfFormula(f.n, f.clauses)
+        for zeta in order:
+            assert is_nice(g, r, 1, {}, zeta, k=5).diagnosis == expected[type(zeta)]
+        assert len(g._nice_verdicts) == 2
+
+
+def test_is_nice_memo_keys_on_the_pinned_values_and_the_target_value():
+    # the same pinned variables with other values, and the same pinning
+    # with another target_value, are verdicts of their own
+    f = F(4, pos(0, 1), pos(0, 2, 3))
+    satisfied = RevealResult(S=(1,), tau_S={1: True}, c0=None, trace=())
+    falsified = RevealResult(S=(1,), tau_S={1: False}, c0=None, trace=())
+    assert is_nice(f, falsified, 0, {}, 1.0, k=3).diagnosis == "exceptional"
+    assert is_nice(f, satisfied, 0, {}, 1.0, k=3).diagnosis == "component"
+    assert is_nice(f, falsified, 0, {}, 1.0, k=3, target_value=True).nice
+    assert is_nice(f, falsified, 0, {}, 1.0, k=3, target_value=1).nice
+    assert not is_nice(f, falsified, 0, {}, 1.0, k=3, target_value=False).nice
+    assert len(f._nice_verdicts) == 4
+
+
+@pytest.mark.parametrize("target, tau_S, zeta, error, message", [
+    (12, {}, 0.4, ValueError, "target variable out of range"),
+    (99, {}, 0.4, ValueError, "target variable out of range"),
+    (-1, {}, 0.4, ValueError, "target variable out of range"),
+    (0, {12: True}, 0.4, ValueError, "pinned variable 12 out of range"),
+    (0, {-1: False}, 0.4, ValueError, "pinned variable -1 out of range"),
+    # the component search itself fails: zeta * k
+    (0, {}, None, TypeError, "NoneType"),
+])
+def test_a_raising_is_nice_call_stores_no_verdict(target, tau_S, zeta, error, message):
+    f = gen_linear_cnf(3, 2, 12, "oracle-linear")
+    r = RevealResult(S=tuple(sorted(tau_S)), tau_S=tau_S, c0=None, trace=())
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            is_nice(f, r, target, {}, zeta)
+        assert f._nice_verdicts == {}
+    is_nice(f, RevealResult(S=(), tau_S={}, c0=None, trace=()), 0, {}, 0.4)
+    assert len(f._nice_verdicts) == 1
 
 
 def test_is_nice_reports_exceptional_among_unsatisfied_clauses():
