@@ -128,18 +128,6 @@ class Clause:
             raise ValueError("a tautological clause has no canonical literals")
         return [(v, bool((self.forbidden >> i) & 1)) for i, v in enumerate(self.vars)]
 
-    def pattern_of(self, assignment: int) -> int:
-        """Restrict a packed assignment to this clause's variables."""
-        p = 0
-        for i, v in enumerate(self.vars):
-            p |= ((assignment >> v) & 1) << i
-        return p
-
-    def satisfied_by(self, assignment: int) -> bool:
-        if self.tautology:
-            return True
-        return self.pattern_of(assignment) != self.forbidden
-
     def satisfied_under(self, pinning) -> bool:
         """Whether a partial assignment (variable -> truth value, read with
         bool) already satisfies the clause: it is a tautology, or some
@@ -183,7 +171,7 @@ class CnfFormula:
         """Variable -> ascending tuple of the indices of the
         non-tautological clauses holding it; a variable in no such clause
         is absent.  Built once per formula and shared by every reader, so
-        it must not be mutated (`structure.var_to_clauses` gives a copy)."""
+        it must not be mutated."""
         out = {}
         for i, c in enumerate(self.clauses):
             if not c.tautology:

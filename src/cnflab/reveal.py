@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Clause, CnfFormula, CnfError, InfeasiblePinningError
@@ -216,15 +216,18 @@ class _Root:
     fixes before it reads tau: k, the early-return reason or None, c0, the
     state at the prefix under the run's bad sets after its first step, the
     variable that step picks (the state and first are None on an early
-    return) and the per-step check's floor.  Also public `reveal`'s two
-    decision trees, unchecked and checked.  The state is only ever copied.
-    The target is taken as valid: `_root` checks it."""
+    return) and the per-step check's floor.  Also the runs' two decision
+    trees, unchecked and checked, which `reveal` and the estimator both
+    walk; an early root's trees are one leaf each, the prefix alone.  The
+    state is only ever copied.  The target is taken as valid: `_root`
+    checks it."""
 
     def __init__(self, formula, target, prefix, params):
         self.k = k = _resolve_k(formula, params.k)
         self.floor_needed = params.zeta * k - 1
-        self.trees = ({}, {})
         self.c0 = self.state = self.first = None
+        S = tuple(sorted(prefix))
+        self.trees = ({(): (S, ())}, {(): (S, ())})  # an early return's leaf
         if k == 0 or params.alpha < 1 / k**3:
             self.early = EARLY_SPARSE
             return
@@ -236,8 +239,9 @@ class _Root:
             self.early = EARLY_NO_CLAUSE
             return
         self.early = None
+        self.trees = ({}, {})
         base = identify_bad(formula, params.p_hd, params.eps_bd, params.alpha, k=k)
-        bad = modified_bad_sets(formula, params.cstar, prefix, c0, k=k, base=base)
+        bad = modified_bad_sets(formula, params.cstar, prefix, c0, base, k=k)
         self.state = _RevealState(formula, prefix, bad, params.zeta, k)
         self.first = self.state.step(c0)[1]
 
@@ -298,21 +302,23 @@ def _check_end(state):
             )
 
 
-def _walk(root, tree, tau, leaf, check=False):
-    """The leaf of `tree` that the run on tau from `root` ends at.
+def _walk(root, tau, check):
+    """(S, trace) of the run on tau from `root`, read off the root's tree
+    for `check`.
 
     A run reads tau only at the variables it pins, so the runs from one
-    root form a decision tree: `tree` maps the tuple of tau's bits read so
-    far to the variable pinned next, or, where a run ended, to the leaf
-    `leaf(S, trace, tau)` of the first run that did.  A path no run took
-    before is expanded once: its known pins are replayed on a copy of the
-    root's state, one step catches the component up (a pinned variable is
-    alive, so the component only grows along a run), and the run steps on
-    to its end.  With check, each new step and the end are checked as
-    `reveal`'s check_invariants asks; a path's checks depend on the path
-    alone, and the new nodes are recorded only when the run has passed
-    them all, so a checked tree never holds an unchecked path.
+    root form a decision tree: the tree maps the tuple of tau's bits read
+    so far to the variable pinned next, or, where a run ended, to its
+    (S, trace).  A path no run took before is expanded once: its known
+    pins are replayed on a copy of the root's state, one step catches the
+    component up (a pinned variable is alive, so the component only grows
+    along a run), and the run steps on to its end.  With check, each new
+    step and the end are checked as `reveal`'s check_invariants asks; a
+    path's checks depend on the path alone, and the new nodes are recorded
+    only when the run has passed them all, so a checked tree never holds
+    an unchecked path.
     """
+    tree = root.trees[check]
     path, read = [], ()
     node = tree.get(read)
     while isinstance(node, int):
@@ -336,26 +342,21 @@ def _walk(root, tree, tau, leaf, check=False):
         v = state.step(root.c0)[1]
     if check:
         _check_end(state)
-    trace = tuple(path)
-    new[read] = node = leaf(tuple(sorted(state.sigma)), trace, tau)
+    new[read] = node = (tuple(sorted(state.sigma)), tuple(path))
     tree.update(new)
     return node
 
 
-def _result(prefix, c0, S, trace, tau):
-    """A run's RevealResult; tau_S is the caller's own prefix, then tau's
-    bits at the revealed variables in the order they were pinned."""
+def _result(root, prefix, tau, check):
+    """The RevealResult of the run on tau from `root`; tau_S is the
+    caller's own prefix, then tau's bits at the revealed variables in the
+    order they were pinned."""
+    S, trace = _walk(root, tau, check)
     tau_S = dict(prefix)
     for v in trace:
         tau_S[v] = bool((tau >> v) & 1)
-    return RevealResult(S=S, tau_S=tau_S, c0=c0, trace=trace)
-
-
-def _early(prefix, reason):
-    return RevealResult(
-        S=tuple(sorted(prefix)), tau_S=dict(prefix), c0=None, trace=(),
-        early_reason=reason,
-    )
+    return RevealResult(S=S, tau_S=tau_S, c0=root.c0, trace=trace,
+                        early_reason=root.early)
 
 
 def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
@@ -377,8 +378,9 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
 
     The formula object keeps what a run fixes before it reads tau, once per
     (target, prefix, params), and a decision tree per check_invariants
-    value of the paths earlier calls took: a call walks it with tau's bits
-    and runs steps only past its end.  Inputs are checked on every call.
+    value of the paths earlier calls and estimates took: a call walks it
+    with tau's bits and runs steps only past its end.  Inputs are checked
+    on every call.
     """
     if not 0 <= tau < 1 << formula.n:
         raise ValueError("tau %d out of range [0, 2^%d)" % (tau, formula.n))
@@ -392,17 +394,7 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
         if bool((tau >> v) & 1) != bool(value):
             raise ValueError("tau disagrees with the prefix at variable %d" % v)
     root = _root(formula, target, prefix, params)
-    if root.early is not None:
-        return _early(prefix, root.early)
-    check = bool(check_invariants)
-    S, trace = _walk(root, root.trees[check], tau, _bare_leaf, check)
-    return _result(prefix, root.c0, S, trace, tau)
-
-
-def _bare_leaf(S, trace, tau):
-    """`reveal`'s leaf: no tau_S, which each call builds from its own
-    prefix and tau."""
-    return S, trace
+    return _result(root, prefix, tau, bool(check_invariants))
 
 
 @dataclass(frozen=True)
@@ -433,12 +425,6 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
     verdicts and the range checks run on every call, and a call that
     raises stores nothing.
     """
-    return _nice(formula, result, target, prefix, zeta, k, target_value,
-                 formula._nice_verdicts)
-
-
-def _nice(formula, result, target, prefix, zeta, k, target_value, verdicts):
-    """`is_nice` over the memo `verdicts`, or without one when it is None."""
     if target in result.S:
         return NiceReport(False, "target-pinned", 0, None)
     tau_S = result.tau_S
@@ -457,14 +443,13 @@ def _nice(formula, result, target, prefix, zeta, k, target_value, verdicts):
     k = _resolve_k(formula, k)
     if target_value is not None:
         target_value = bool(target_value)
-    args = (formula, target, pinned, values, zeta, k, target_value)
-    if verdicts is None:
-        return _verdict(*args)
     key = (target, type(target), zeta, type(zeta), k, type(k), target_value,
            pinned, values)
+    verdicts = formula._nice_verdicts
     report = verdicts.get(key)
     if report is None:
-        report = verdicts[key] = _verdict(*args)
+        report = verdicts[key] = _verdict(
+            formula, target, pinned, values, zeta, k, target_value)
     return report
 
 
@@ -534,12 +519,11 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     prefix-conditioned uniform distribution produces a nice result, with a
     Wilson 95% interval.
 
-    The trials walk a decision tree over the runs from the formula's
-    memoised root for (target, prefix, params), with `reveal`'s walker: a
-    path is expanded when a trial first takes it, and a leaf keeps its
-    RevealResult and NiceReport for later trials.  The tree is local to the
-    call and dropped on return, and a leaf's verdict is decided without
-    `is_nice`'s memo, so a repeated estimate repeats its work.
+    Each trial is `reveal` without checks followed by `is_nice`, on the
+    same formula memos: it walks the unchecked decision tree of the
+    formula's root for (target, prefix, params), so a path any earlier run
+    took is not expanded again, and its verdict comes from `is_nice`'s
+    memo.  Only the draws are per call.
 
     The first `traces` trials measured (all of them if there are fewer) are
     kept on the result as (tau, RevealResult, NiceReport) tuples.
@@ -550,24 +534,17 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     if space.count == 0:
         raise InfeasiblePinningError("no solution agrees with the prefix")
     root = _root(formula, target, prefix, params)
-
-    def finish(result):
-        return result, _nice(formula, result, target, prefix, params.zeta,
-                             params.k, target_value, None)
-
-    def leaf(S, trace, tau):
-        return finish(_result(prefix, root.c0, S, trace, tau))
-
-    tree = {} if root.early is None else {(): finish(_early(prefix, root.early))}
     rng = SeededRng(seed)
     successes = 0
     diagnosis_counts = {}
     kept = []
     for i in range(trials):
         tau = space.select(rng.randbelow(space.count))
-        result, report = _walk(root, tree, tau, leaf)
+        result = _result(root, prefix, tau, False)
+        report = is_nice(formula, result, target, prefix, params.zeta, params.k,
+                         target_value)
         if i < traces:
-            kept.append((tau, replace(result, tau_S=dict(result.tau_S)), report))
+            kept.append((tau, result, report))
         if report.nice:
             successes += 1
         diagnosis_counts[report.diagnosis] = (

@@ -83,11 +83,6 @@ def iter_ksubsets_colex(n, k):
             subset[j] = j
 
 
-def colex_rank(subset) -> int:
-    """Position of a sorted subset in colex order: sum of C(s_i, i+1)."""
-    return sum(math.comb(s, i + 1) for i, s in enumerate(subset))
-
-
 def _check_range(n, vs):
     for v in vs:
         if not 0 <= v < n:

@@ -46,22 +46,6 @@ def _active_clauses(formula):
     ]
 
 
-def var_to_clauses(formula):
-    """Map variable -> sorted indices of non-tautological clauses using it.
-
-    A fresh dict of lists copied from the formula's cached index
-    `CnfFormula.by_var`, so a caller may change it freely; the library
-    itself reads that index, built once per formula.  The revealing process
-    walks it only around the component it grows: each step pins an alive
-    variable, which lies in no component clause (bad clauses hold only bad
-    variables, frozen ones none with frozen count 0, blocked ones no
-    unpinned good variable outside a frozen clause), so every component
-    clause stays bad, frozen or blocked, every linking variable stays
-    unpinned, and along one run the component and its extension only grow.
-    """
-    return {v: list(ix) for v, ix in formula.by_var.items()}
-
-
 def dependency_components(formula):
     """Connected components of the dependency graph, each a sorted tuple of
     clause indices, ordered by smallest member.  Tautologies excluded.
@@ -174,12 +158,12 @@ class ModifiedBadSets:
     intersect_bound_holds: bool
 
 
-def modified_bad_sets(formula: CnfFormula, cstar, prefix, c0_index,
-                      p_hd=None, eps_bd=None, alpha=None, k=None,
-                      base=None) -> ModifiedBadSets:
-    """Bad sets augmented for one revealing run: clauses intersecting the
-    candidate clause cstar in >= 2k^(4/5) variables, the prefix variables,
-    and the triggering clause c0 all become bad.
+def modified_bad_sets(formula: CnfFormula, cstar, prefix, c0_index, base: BadSets,
+                      k=None) -> ModifiedBadSets:
+    """The bad sets `base` (from `identify_bad`) augmented for one revealing
+    run: clauses intersecting the candidate clause cstar in >= 2k^(4/5)
+    variables, the prefix variables, and the triggering clause c0 all
+    become bad.
 
     cstar may be None (no candidate context): the intersection set is then
     empty, which is also the literal outcome for any k < 32 since a size-k
@@ -187,10 +171,6 @@ def modified_bad_sets(formula: CnfFormula, cstar, prefix, c0_index,
     """
     if k is None:
         k = formula.params.k_max
-    if base is None:
-        if p_hd is None or eps_bd is None or alpha is None:
-            raise ValueError("need p_hd, eps_bd, alpha (or a precomputed base)")
-        base = identify_bad(formula, p_hd, eps_bd, alpha, k=k)
     c0 = formula.clauses[c0_index]
     if c0.tautology:
         raise ValueError("c0 must be a proper clause")
@@ -306,8 +286,8 @@ def _min_union_greedy(var_sets, sizes):
 def check_edge_expansion(formula: CnfFormula, rho, eta, B, ell_limit,
                          subset_budget=500_000, choice_budget=200_000) -> PropertyCheck:
     """For every set of ell <= min(ell_limit, rho*|C|) distinct clauses and
-    every choice of B variables from each (B a whole number >= 1, else
-    ValueError), the union must exceed (1-eta)*B*ell.
+    every choice of B variables from each (B a whole number >= 1 and
+    ell_limit >= 1, else ValueError), the union must exceed (1-eta)*B*ell.
 
     Clause subsets are exhausted when their number fits the budget, else
     probed by a greedy high-overlap heuristic; per-subset variable choices
@@ -317,6 +297,8 @@ def check_edge_expansion(formula: CnfFormula, rho, eta, B, ell_limit,
     """
     if not (1 <= B < math.inf and B % 1 == 0):
         raise ValueError("B must be a whole number >= 1, got %r" % (B,))
+    if not ell_limit >= 1:
+        raise ValueError("ell_limit must be >= 1")
     active = _active_clauses(formula)
     m = len(active)
     ell_max = min(ell_limit, math.floor(rho * m))

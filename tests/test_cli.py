@@ -225,6 +225,19 @@ def test_props_runs_edge_expansion_on_a_linear_formula(tmp_path, capsys):
         assert code == 1 and out == "" and err.startswith("error: "), argv
 
 
+def test_props_rejects_an_ell_limit_below_one(tmp_path, capsys):
+    # rho * |C| = 1 on one clause, so --ell-limit 0 is no vacuous pass
+    path = tmp_path / "one.cnf"
+    path.write_text("p cnf 3 1\n1 2 0\n")
+    result = invoke_json(capsys, "props", str(path), "--ell-limit", "1", "--rho", "1")
+    expansion = next(c for c in result["payload"]["checks"]
+                     if c["name"] == "edge-expansion")
+    assert expansion["verdict"] == "proved-pass" and expansion["note"] == ""
+    code, out, err = invoke(capsys, "props", str(path), "--ell-limit", "0", "--rho", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "ell_limit must be >= 1" in err
+
+
 def test_gadget_verify_command(capsys):
     result = invoke_json(capsys, "gadget-verify", "--k", "3", "--ell", "1")
     payload = result["payload"]

@@ -37,7 +37,6 @@ from cnflab import (
 from cnflab import learner, solutions
 from cnflab.solutions import (
     Space,
-    colex_rank,
     iter_ksubsets_colex,
     solution_bitmap,
 )
@@ -68,8 +67,7 @@ def test_colex_order_small():
     assert list(iter_ksubsets_colex(4, 2)) == [
         (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3),
     ]
-    for i, s in enumerate(iter_ksubsets_colex(5, 3)):
-        assert colex_rank(s) == i
+    assert list(iter_ksubsets_colex(5, 3)) == colex_subsets(5, 3)
 
 
 @given(st.integers(min_value=1, max_value=8))
@@ -119,7 +117,7 @@ def test_split_tree_walks_colex_and_partitions_items(case):
         assert len(leaves) == 1 << k
         expect = [0] * (1 << k)
         for t, a in enumerate(samples):
-            expect[Clause(subset, 0).pattern_of(a)] |= 1 << t
+            expect[pattern_on(a, subset)] |= 1 << t
         assert leaves == expect
 
 

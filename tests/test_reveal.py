@@ -29,7 +29,7 @@ from cnflab import (
     wilson_interval,
 )
 from cnflab.reveal import RevealResult, _RevealState, _Root
-from cnflab.structure import BadSets, EMPTY_BAD_SETS, var_to_clauses
+from cnflab.structure import BadSets, EMPTY_BAD_SETS
 
 import naive
 from util import F, bits, pos, neg, from_bits, to_naive
@@ -297,25 +297,6 @@ def test_stepping_a_copy_leaves_the_original_unchanged():
     assert steps > 50
 
 
-def test_var_to_clauses_is_a_copy_of_the_formula_index():
-    f = gen_linear_cnf(3, 2, 12, "oracle-linear")
-    target = f.clauses[0].vars[0]
-    params = RevealParams(alpha=1.0, p_hd=100.0, eps_bd=0.5, zeta=0.4)
-    tau = enumerate_solutions(f).solutions[-1]
-    before = reveal(f, tau, target, {}, params, check_invariants=True)
-    index = dict(f.by_var)
-    out = var_to_clauses(f)
-    assert out == {v: list(ix) for v, ix in index.items()}
-    for members in out.values():
-        members.reverse()
-        members.append(0)
-    out[f.n] = [0]
-    del out[target]
-    assert f.by_var == index
-    assert reveal(f, tau, target, {}, params, check_invariants=True) == before
-    assert var_to_clauses(f) == {v: list(ix) for v, ix in index.items()}
-
-
 @pytest.mark.parametrize("f", [
     gen_linear_cnf(3, 2, 12, "oracle-linear"),
     gen_random_cnf(RandomCnfSpec(3, 10, 1.5, "oracle-random")),
@@ -547,17 +528,19 @@ def _check_estimate_against_trials(f, target, prefix, params, target_value):
     rng = SeededRng("oracle")
     counts = {}
     assert len(est.traces) == trials
+    # the estimate filled f's own tree, so the reference runs on another
+    g = CnfFormula(f.n, f.clauses)
     for tau, result, report in est.traces:
         assert tau == agreeing[rng.randbelow(len(agreeing))]
-        expect = reveal(f, tau, target, prefix, params)
+        expect = reveal(g, tau, target, prefix, params)
         assert result == expect
         assert list(result.tau_S.items()) == list(expect.tau_S.items())
-        assert report == is_nice(f, expect, target, prefix, params.zeta,
+        assert report == is_nice(g, expect, target, prefix, params.zeta,
                                  k=params.k, target_value=target_value)
         counts[report.diagnosis] = counts.get(report.diagnosis, 0) + 1
     assert est.diagnosis_counts == counts
     assert est.successes == sum(report.nice for _, _, report in est.traces)
-    # each trial owns its tau_S, though trials may share a leaf
+    # each trial owns its tau_S, though trials may end at one leaf
     assert len({id(result.tau_S) for _, result, _ in est.traces}) == trials
     return est
 
@@ -578,6 +561,70 @@ def test_estimate_early_returns_match_per_trial_reveal(reason, alpha, f, prefix)
     params = RevealParams(alpha=alpha, p_hd=100.0, eps_bd=0.5, zeta=1.0)
     est = _check_estimate_against_trials(f, 0, prefix, params, None)
     assert {r.early_reason for _, r, _ in est.traces} == {reason}
+
+
+def test_reveal_after_an_estimate_expands_no_new_path(monkeypatch):
+    # the estimator and reveal walk one tree per root: every run an
+    # estimate measured is a known path for reveal afterwards
+    f, target, params, solutions = _generated_run()
+    copies = []
+    copy = _RevealState.copy
+
+    def counting_copy(state):
+        copies.append(1)
+        return copy(state)
+
+    monkeypatch.setattr(_RevealState, "copy", counting_copy)
+    est = estimate_nice_probability(f, target, {}, 60, "shared", params, traces=60)
+    assert copies and len(copies) < 60
+    copies.clear()
+    for tau, result, _ in est.traces:
+        assert reveal(f, tau, target, {}, params) == result
+    assert copies == []
+    # the checked tree is the other one: its first call expands a path
+    reveal(f, est.traces[0][0], target, {}, params, check_invariants=True)
+    assert copies == [1]
+
+
+def test_an_estimate_fills_the_verdict_memo():
+    f, target, params, _ = _generated_run()
+    assert not f._nice_verdicts
+    est = estimate_nice_probability(f, target, {}, 40, "memo", params,
+                                    target_value=True, traces=40)
+    verdicts = f._nice_verdicts
+    # one verdict per distinct pinning the trials revealed
+    assert len(verdicts) == len({frozenset(r.tau_S.items()) for _, r, _ in est.traces})
+    stored = set(map(id, verdicts.values()))
+    assert all(id(report) in stored for _, _, report in est.traces)
+    # is_nice on a measured run reads the estimate's verdict
+    _, result, report = est.traces[0]
+    assert is_nice(f, result, target, {}, params.zeta, target_value=True) is report
+    assert len(f._nice_verdicts) == len(verdicts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(revealing_runs(), st.sampled_from([None, False, True]))
+def test_an_estimate_on_a_warm_formula_equals_one_on_a_fresh_formula(run, target_value):
+    # warm both trees and the verdict memo through the same root, with
+    # prefix values of another type ({v: 1} shares the root of {v: True})
+    n, clauses, _, target, prefix, params = run
+    warm = F(n, *clauses)
+    as_ints = {v: int(x) for v, x in prefix.items()}
+    for tau in _agreeing(warm, prefix):
+        for check in (False, True):
+            r = reveal(warm, tau, target, as_ints, params, check_invariants=check)
+            is_nice(warm, r, target, as_ints, params.zeta, k=params.k,
+                    target_value=target_value)
+    assert len(warm._reveal_roots) == 1
+    args = (target, prefix, 12, "warm", params)
+    est = estimate_nice_probability(warm, *args, target_value=target_value, traces=12)
+    fresh = estimate_nice_probability(F(n, *clauses), *args,
+                                      target_value=target_value, traces=12)
+    assert est == fresh
+    assert len(warm._reveal_roots) == 1
+    for (_, r, _), (_, g, _) in zip(est.traces, fresh.traces):
+        assert list(r.tau_S.items()) == list(g.tau_S.items())
+        assert all(r.tau_S[v] is prefix[v] for v in prefix)
 
 
 def test_reveal_early_sparse_alpha():

@@ -118,9 +118,7 @@ def test_identify_bad_matches_rescan_oracle(data):
 
 
 def test_modified_bad_sets_augmentation():
-    mod = modified_bad_sets(
-        STAR, None, {5: True}, 0, p_hd=100, eps_bd=0.5, alpha=1.0
-    )
+    mod = modified_bad_sets(STAR, None, {5: True}, 0, identify_bad(STAR, 100, 0.5, 1.0))
     assert mod.v_bad == frozenset({0, 1, 2, 5})
     assert mod.c_bad == frozenset({0})
     assert mod.c_intersect == ()
@@ -132,9 +130,7 @@ def test_modified_bad_sets_augmentation():
 def test_modified_bad_sets_intersection_with_small_k():
     f = F(6, pos(0, 1, 2), pos(3, 4, 5))
     cstar = Clause.from_literals(pos(0, 1, 5))
-    mod = modified_bad_sets(
-        f, cstar, {}, 1, p_hd=100, eps_bd=0.5, alpha=1.0, k=1
-    )
+    mod = modified_bad_sets(f, cstar, {}, 1, identify_bad(f, 100, 0.5, 1.0, k=1), k=1)
     # threshold 2*1^0.8 = 2: clause 0 shares {0,1}
     assert mod.c_intersect == (0,)
     assert mod.c_bad == frozenset({0, 1})
@@ -145,12 +141,11 @@ def test_modified_bad_sets_intersection_with_small_k():
 def test_modified_bad_sets_validation():
     taut = Clause.from_literals([(0, False), (0, True)])
     f = CnfFormula(3, (taut, Clause.from_literals(pos(1, 2))))
-    with pytest.raises(ValueError):
-        modified_bad_sets(f, None, {}, 0, p_hd=1, eps_bd=0.5, alpha=1.0)
-    with pytest.raises(ValueError):
-        modified_bad_sets(f, None, {1: True}, 1, p_hd=1, eps_bd=0.5, alpha=1.0)
-    with pytest.raises(ValueError):
-        modified_bad_sets(f, None, {}, 1)  # no parameters, no base
+    base = identify_bad(f, 1, 0.5, 1.0)
+    with pytest.raises(ValueError, match="c0 must be a proper clause"):
+        modified_bad_sets(f, None, {}, 0, base)
+    with pytest.raises(ValueError, match="c0 must be unsatisfied"):
+        modified_bad_sets(f, None, {1: True}, 1, base)
 
 
 def test_degree_one_disjoint_vacuous():
@@ -186,6 +181,16 @@ def test_edge_expansion_vacuous_and_proved():
     assert ok.passed and ok.verdict == "proved-pass"
     # a whole float B (the CLI flag's type) gives the same answer
     assert check_edge_expansion(f, rho=1.0, eta=0.5, B=2.0, ell_limit=2) == ok
+
+
+@pytest.mark.parametrize("ell_limit", [0, -1, float("nan")])
+def test_edge_expansion_rejects_an_ell_limit_below_one(ell_limit):
+    # one clause and rho = 1 admit subsets of size 1, so no limit below
+    # one may pass as "no admissible subset size"
+    f = F(3, pos(0, 1))
+    assert check_edge_expansion(f, rho=1, eta=0.5, B=1, ell_limit=1).explored == 1
+    with pytest.raises(ValueError, match="ell_limit must be >= 1"):
+        check_edge_expansion(f, rho=1, eta=0.5, B=1, ell_limit=ell_limit)
 
 
 @pytest.mark.parametrize("B", [0, 1.5, float("nan"), float("inf")])
