@@ -13,6 +13,7 @@ the assignment space ``range(2**n)``.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -118,10 +119,6 @@ class Clause:
     def size(self):
         return len(self.vars)
 
-    def forbidden_value(self, var) -> bool:
-        i = self.vars.index(var)
-        return bool((self.forbidden >> i) & 1)
-
     def literals(self):
         """The clause as (variable, negated) pairs; undefined for tautologies."""
         if self.tautology:
@@ -209,6 +206,18 @@ class CnfFormula:
         )
 
     @functools.cached_property
+    def _overlaps(self) -> dict:
+        """(i, j) -> the number of variables the non-tautological clauses
+        i < j share, for every pair sharing at least one; counted once per
+        formula through `by_var` and shared by every reader, so it must not
+        be mutated."""
+        out = {}
+        for ix in self.by_var.values():
+            for pair in itertools.combinations(ix, 2):
+                out[pair] = out.get(pair, 0) + 1
+        return out
+
+    @functools.cached_property
     def _clause_masks(self) -> tuple:
         """Per clause, (variable mask, forbidden bits in place): bit v of
         each is set for a variable v of the clause, in the second when its
@@ -247,34 +256,22 @@ class CnfFormula:
 
     def variable_degrees(self):
         """Occurrence count per variable, tautologies excluded."""
-        deg = [0] * self.n
-        for c in self.clauses:
-            if c.tautology:
-                continue
-            for v in c.vars:
-                deg[v] += 1
-        return deg
+        return [len(self.by_var.get(v, ())) for v in range(self.n)]
 
 
 def kds_parameters(formula: CnfFormula) -> KdsParams:
     """Exact (k_min, k_max, d_max, s_max) over non-tautological clauses.
 
     Zeros for the empty formula.  s_max is the largest variable-set overlap
-    over distinct clause index pairs, found by counting pair co-occurrences
-    through the formula's variable-to-clauses index.
+    over distinct clause index pairs, read off the formula's pair overlap
+    table.
     """
     sizes = [c.size for c in formula.clauses if not c.tautology]
     if not sizes:
         return KdsParams(0, 0, 0, 0)
     by_var = formula.by_var
     d_max = max(len(ix) for ix in by_var.values()) if by_var else 0
-    pair_counts = {}
-    for ix in by_var.values():
-        for a in range(len(ix)):
-            for b in range(a + 1, len(ix)):
-                key = (ix[a], ix[b])
-                pair_counts[key] = pair_counts.get(key, 0) + 1
-    s_max = max(pair_counts.values()) if pair_counts else 0
+    s_max = max(formula._overlaps.values(), default=0)
     return KdsParams(min(sizes), max(sizes), d_max, s_max)
 
 

@@ -40,19 +40,32 @@ def _resolve_k(formula, k):
     return formula.params.k_max if k is None else k
 
 
-def _unpinned_good(clause, sigma, bad):
-    return [v for v in clause.vars if v not in sigma and v not in bad.v_bad]
+def _pack(pinning):
+    """A pinning (variable -> value, read with bool) as two masks, the
+    encoding every clause test here reads: bit v of `pinned` is set for a
+    pinned v, and of `values` for one pinned True.  A clause with masks
+    (m, f) (`CnfFormula._clause_masks`) is satisfied under it iff
+    m & pinned & (values ^ f) != 0, or it is a tautology, (0, 1), the only
+    clause with f > m."""
+    pinned = values = 0
+    for v, value in pinning.items():
+        pinned |= 1 << v
+        if value:
+            values |= 1 << v
+    return pinned, values
 
 
 class _RevealState:
-    """The clause bookkeeping of a revealing run under the pinning sigma.
+    """The clause bookkeeping of a revealing run under a pinning, packed
+    by `_pack` into `pinned` and `values`.
 
-    Per clause: satisfied (tautologies always), its number of unpinned good
-    variables, and frozen: good, unsatisfied, with at most zeta*k unpinned
-    good variables (the one place the threshold is applied).  Per variable:
-    the number of frozen clauses containing it.  `pin` takes an alive
-    variable, which lies in no frozen clause, and updates only its clauses;
-    so a frozen clause is never pinned again and stays frozen.
+    Whether a clause is satisfied and how many unpinned good variables it
+    has are read off its masks when asked.  Kept: `frozen`, the bitmask of
+    the frozen clauses (good, unsatisfied, with at most zeta*k unpinned
+    good variables; the one place the threshold is applied), and per
+    variable the number of frozen clauses containing it.  `pin` takes an
+    alive variable, which lies in no frozen clause, and tests only its
+    clauses; so a frozen clause is never pinned again and stays frozen.
 
     The first `step` grows the associated component from c0 and keeps it,
     with its extension and a min-heap of the extension's alive variables.
@@ -67,83 +80,70 @@ class _RevealState:
     popped from the heap as dead never comes back.
     """
 
-    def __init__(self, formula, sigma, bad, zeta, k):
+    def __init__(self, formula, pinning, bad, zeta, k):
         self.clauses = formula.clauses
-        self.bad = bad
-        self.limit = zeta * _resolve_k(formula, k)
+        self.masks = formula._clause_masks
         self.by_var = formula.by_var
-        self.sigma = dict(sigma)
-        m = len(formula.clauses)
-        self.satisfied = [True] * m
-        self.good = [0] * m
-        self.frozen = [False] * m
+        self.bad = bad
+        self.bad_vars = sum(1 << v for v in bad.v_bad)
+        self.limit = zeta * _resolve_k(formula, k)
+        self.pinned, self.values = _pack(pinning)
+        self.frozen = 0
         self.frozen_count = [0] * formula.n
-        v_bad = bad.v_bad
-        for i, c in enumerate(formula.clauses):
-            if c.tautology:
-                continue
-            good = 0
-            for bit, v in enumerate(c.vars):
-                if v not in sigma:
-                    good += v not in v_bad
-                elif bool(sigma[v]) != bool((c.forbidden >> bit) & 1):
-                    break  # satisfied
-            else:
-                self.satisfied[i] = False
-                self.good[i] = good
-                self._freeze_if_due(i)
+        for i in range(len(self.masks)):
+            self._freeze_if_due(i)
         self.component = set()  # empty until the first step
         self.ext = set()
         self.heap = []
 
     def copy(self):
         other = copy.copy(self)
-        other.sigma = dict(self.sigma)
-        other.satisfied = self.satisfied[:]
-        other.good = self.good[:]
-        other.frozen = self.frozen[:]
         other.frozen_count = self.frozen_count[:]
         other.component = set(self.component)
         other.ext = set(self.ext)
         other.heap = self.heap[:]
         return other
 
+    def satisfied(self, i):
+        m, f = self.masks[i]
+        return f > m or bool(m & self.pinned & (self.values ^ f))
+
+    def unpinned_good(self, i):
+        return (self.masks[i][0] & ~(self.pinned | self.bad_vars)).bit_count()
+
     def _freeze_if_due(self, i):
-        if i not in self.bad.c_bad and self.good[i] <= self.limit:
-            self.frozen[i] = True
+        if (i not in self.bad.c_bad and not self.satisfied(i)
+                and self.unpinned_good(i) <= self.limit):
+            self.frozen |= 1 << i
             for v in self.clauses[i].vars:
                 self.frozen_count[v] += 1
 
     def pin(self, v, value):
-        self.sigma[v] = value
+        self.pinned |= 1 << v
+        if value:
+            self.values |= 1 << v
         for i in self.by_var.get(v, ()):
-            if self.satisfied[i]:
-                continue
-            if bool(value) != self.clauses[i].forbidden_value(v):
-                self.satisfied[i] = True
-            else:
-                self.good[i] -= 1
-                self._freeze_if_due(i)
+            self._freeze_if_due(i)
 
     def alive(self, v):
         """Good, unpinned and in no frozen clause.  The definition asks that
         every good unsatisfied clause holding v keep more than zeta*k - 1
-        other unpinned good variables; v is one of its len(good), so that
-        is "more than zeta*k", i.e. the clause is not frozen."""
-        return (v not in self.sigma and v not in self.bad.v_bad
-                and not self.frozen_count[v])
+        other unpinned good variables; v is one of its unpinned good ones,
+        so that is "more than zeta*k", i.e. the clause is not frozen."""
+        return not ((self.pinned | self.bad_vars) >> v & 1
+                    or self.frozen_count[v])
 
     def blocked(self, i):
         """Good, unsatisfied, above the frozen threshold, and every unpinned
         good variable lies in some frozen clause, i.e. no variable of it is
         alive; tested on demand."""
         return not (
-            self.satisfied[i] or self.frozen[i] or i in self.bad.c_bad
+            self.satisfied(i) or self.frozen >> i & 1 or i in self.bad.c_bad
             or any(map(self.alive, self.clauses[i].vars))
         )
 
     def _absorbable(self, i):
-        return i in self.bad.c_bad or self.frozen[i] or self.blocked(i)
+        return i in self.bad.c_bad or self.frozen >> i & 1 or self.blocked(i)
 
     def _extend(self, i):
         """Add clause i to the extension and its alive variables to the
@@ -161,12 +161,12 @@ class _RevealState:
         Only a clause new to the extension is tested: the others were
         tested under this same state, when the step re-examined them.
         """
-        clauses, sigma, by_var = self.clauses, self.sigma, self.by_var
+        clauses, pinned, by_var = self.clauses, self.pinned, self.by_var
         component, ext = self.component, self.ext
         while stack:
             j = stack.pop()
             for v in clauses[j].vars:
-                if v in sigma:
+                if pinned >> v & 1:
                     continue
                 for w in by_var.get(v, ()):
                     if w not in ext:
@@ -218,16 +218,17 @@ class _Root:
     variable that step picks (the state and first are None on an early
     return) and the per-step check's floor.  Also the runs' two decision
     trees, unchecked and checked, which `reveal` and the estimator both
-    walk; an early root's trees are one leaf each, the prefix alone.  The
-    state is only ever copied.  The target is taken as valid: `_root`
-    checks it."""
+    walk; an early root's trees are one leaf each, the prefix alone, under
+    key 0.  The state is only ever copied.  The target is taken as valid:
+    `_root` checks it."""
 
     def __init__(self, formula, target, prefix, params):
+        self.n = formula.n
         self.k = k = _resolve_k(formula, params.k)
         self.floor_needed = params.zeta * k - 1
         self.c0 = self.state = self.first = None
         S = tuple(sorted(prefix))
-        self.trees = ({(): (S, ())}, {(): (S, ())})  # an early return's leaf
+        self.trees = ({0: (S, ())}, {0: (S, ())})  # an early return's leaf
         if k == 0 or params.alpha < 1 / k**3:
             self.early = EARLY_SPARSE
             return
@@ -249,18 +250,18 @@ class _Root:
 def _root(formula, target, prefix, params):
     """The formula's memoised `_Root` for (target, prefix, params).
 
-    The key holds the prefix's items as given (unsorted: a pinning given
-    in another order gets a root of its own) and the types of the
-    parameters' fields: equal numbers of different types (0.7 and
-    Fraction(0.7)) can round differently in the thresholds.  Prefix values
-    are read only through bool, so {v: 1} and {v: True} share a root.
-    Nothing invalid is stored, so the checks here and the callers' own run
-    on every call."""
+    The key holds the prefix packed by `_pack`, so one pinning given in
+    any insertion order, with values read through bool ({v: 1} and
+    {v: True}), shares a root; and the types of the parameters' fields:
+    equal numbers of different types (0.7 and Fraction(0.7)) can round
+    differently in the thresholds.  The prefix's variables are taken as
+    in range: both callers check them first.  Nothing invalid is stored,
+    so the checks here and the callers' own run on every call."""
     if target in prefix:
         raise ValueError("the target variable is already pinned")
     if not 0 <= target < formula.n:
         raise ValueError("target variable out of range")
-    key = (target, tuple(prefix.items()), params,
+    key = (target, *_pack(prefix), params,
            tuple(map(type, vars(params).values())))
     roots = formula._reveal_roots
     root = roots.get(key)
@@ -272,12 +273,10 @@ def _root(formula, target, prefix, params):
 def _check_step(state, v, floor_needed):
     """Pinning v left each of its good unsatisfied clauses above the
     frozen threshold."""
-    sigma, bad = state.sigma, state.bad
     for i in state.by_var[v]:
-        c = state.clauses[i]
-        if i in bad.c_bad or c.satisfied_under(sigma):
+        if i in state.bad.c_bad or state.satisfied(i):
             continue
-        if not len(_unpinned_good(c, sigma, bad)) > floor_needed:
+        if not state.unpinned_good(i) > floor_needed:
             raise CnfError(
                 "revealing %d froze clause %d below the threshold" % (v, i)
             )
@@ -286,16 +285,12 @@ def _check_step(state, v, floor_needed):
 def _check_end(state):
     """Every clause adjacent to the finished run's component is satisfied
     or shares no unpinned variable with it."""
-    clauses, sigma, by_var = state.clauses, state.sigma, state.by_var
-    component = state.component
-    comp_vars = {v for j in component for v in clauses[j].vars}
-    comp_unpinned = {v for v in comp_vars if v not in sigma}
-    near = {i for v in comp_vars for i in by_var.get(v, ())}
-    for i in sorted(near.difference(component)):
-        c = clauses[i]
-        if c.satisfied_under(sigma):
-            continue
-        if any(v in comp_unpinned for v in c.vars if v not in sigma):
+    unpinned = 0
+    for j in state.component:
+        unpinned |= state.masks[j][0]
+    unpinned &= ~state.pinned
+    for i, (m, _) in enumerate(state.masks):
+        if m & unpinned and i not in state.component and not state.satisfied(i):
             raise CnfError(
                 "clause %d stays unpinned-adjacent to the component "
                 "and unsatisfied" % i
@@ -307,42 +302,46 @@ def _walk(root, tau, check):
     for `check`.
 
     A run reads tau only at the variables it pins, so the runs from one
-    root form a decision tree: the tree maps the tuple of tau's bits read
-    so far to the variable pinned next, or, where a run ended, to its
-    (S, trace).  A path no run took before is expanded once: its known
-    pins are replayed on a copy of the root's state, one step catches the
-    component up (a pinned variable is alive, so the component only grows
-    along a run), and the run steps on to its end.  With check, each new
-    step and the end are checked as `reveal`'s check_invariants asks; a
-    path's checks depend on the path alone, and the new nodes are recorded
-    only when the run has passed them all, so a checked tree never holds
-    an unchecked path.
+    root form a decision tree.  A node is keyed by one int,
+    `read << n | tau & read`, where `read` is the mask of the variables
+    the path has pinned so far (0 at the root): the bits read determine
+    the path, so no two nodes share a key.  The tree maps it to the
+    variable pinned next, or, where a run ended, to its (S, trace), S the
+    pinned variables ascending.  A path no run took before is expanded
+    once: its known pins are replayed on a copy of the root's state, one
+    step catches the component up (a pinned variable is alive, so the
+    component only grows along a run), and the run steps on to its end.
+    With check, each new step and the end are checked as `reveal`'s
+    check_invariants asks; a path's checks depend on the path alone, and
+    the new nodes are recorded only when the run has passed them all, so a
+    checked tree never holds an unchecked path.
     """
-    tree = root.trees[check]
-    path, read = [], ()
-    node = tree.get(read)
+    tree, n = root.trees[check], root.n
+    path, read = [], 0
+    node = tree.get(0)
     while isinstance(node, int):
         path.append(node)
-        read += ((tau >> node) & 1,)
-        node = tree.get(read)
+        read |= 1 << node
+        node = tree.get(read << n | tau & read)
     if node is not None:
         return node
     state = root.state.copy()
     for v in path:
-        state.pin(v, bool((tau >> v) & 1))
+        state.pin(v, tau >> v & 1)
     v = state.step(root.c0)[1] if path else root.first
     new = {}
     while v is not None:
-        new[read] = v
-        state.pin(v, bool((tau >> v) & 1))
+        new[read << n | tau & read] = v
+        state.pin(v, tau >> v & 1)
         if check:
             _check_step(state, v, root.floor_needed)
         path.append(v)
-        read += ((tau >> v) & 1,)
+        read |= 1 << v
         v = state.step(root.c0)[1]
     if check:
         _check_end(state)
-    new[read] = node = (tuple(sorted(state.sigma)), tuple(path))
+    S = tuple(v for v in range(n) if state.pinned >> v & 1)
+    new[read << n | tau & read] = node = (S, tuple(path))
     tree.update(new)
     return node
 
@@ -433,13 +432,10 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
             return NiceReport(False, "prefix-mismatch", 0, None)
     if not 0 <= target < formula.n:
         raise ValueError("target variable out of range")
-    pinned = values = 0
-    for v, value in tau_S.items():
+    for v in tau_S:
         if not 0 <= v < formula.n:
             raise ValueError("pinned variable %d out of range" % v)
-        pinned |= 1 << v
-        if value:
-            values |= 1 << v
+    pinned, values = _pack(tau_S)
     k = _resolve_k(formula, k)
     if target_value is not None:
         target_value = bool(target_value)
@@ -454,11 +450,7 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
 
 
 def _verdict(formula, target, pinned, values, zeta, k, target_value):
-    """`is_nice`'s component search under tau_S packed as two masks: bit v
-    of `pinned` is set for a pinned v, and of `values` for one pinned True.
-    A clause with masks (m, f) (`CnfFormula._clause_masks`) is satisfied
-    under it iff m & pinned & (values ^ f) != 0, or it is a tautology,
-    (0, 1), the only clause with f > m."""
+    """`is_nice`'s component search under tau_S packed by `_pack`."""
     clauses, masks, by_var = formula.clauses, formula._clause_masks, formula.by_var
 
     def unsatisfied(i):
@@ -566,6 +558,8 @@ def wilson_interval(successes, trials, z=1.96):
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError("successes must lie in [0, trials]")
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -708,14 +708,7 @@ def verify_gadget_counts(k, ell, limit=None) -> GadgetCountReport:
     """
     su = Space(gen_gadget(GadgetSpec(k, ell, False)), limit=limit)
     sr = Space(gen_gadget(GadgetSpec(k, ell, True)), limit=limit)
-    low = min(su.n, _LOW_BITS)
-    extra = []
-    for h, (a, b) in enumerate(zip(su._rows, sr._rows)):
-        extra_bits = a & ~b
-        while extra_bits:
-            low_bit = extra_bits & -extra_bits
-            extra.append(h << low | low_bit.bit_length() - 1)
-            extra_bits ^= low_bit
+    extra = tuple(a for a in su.iter_solutions() if a not in sr)
     ratio = Fraction(sr.count, su.count)
     lower = 1 - Fraction(1, 1 << ((k - 2) * ell))
     upper = 1 - Fraction(1, 1 << (k * ell))
@@ -732,6 +725,6 @@ def verify_gadget_counts(k, ell, limit=None) -> GadgetCountReport:
         lower=lower,
         upper=upper,
         bounds_hold=lower <= ratio <= upper,
-        extra=tuple(extra),
-        extra_is_alternating=extra == [expected],
+        extra=extra,
+        extra_is_alternating=extra == (expected,),
     )

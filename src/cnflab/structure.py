@@ -69,12 +69,9 @@ def check_clause_sizes(formula: CnfFormula, k) -> PropertyCheck:
 
 def check_pairwise_intersection(formula: CnfFormula, bound) -> PropertyCheck:
     """No two non-tautological clauses may share more than `bound`
-    variables.  Pairs are found through the variable index, so disjoint
-    clauses cost nothing."""
-    shared = {}
-    for members in formula.by_var.values():
-        for a, b in itertools.combinations(members, 2):
-            shared[(a, b)] = shared.get((a, b), 0) + 1
+    variables.  Pairs are read off the formula's pair overlap table, so
+    disjoint clauses cost nothing."""
+    shared = formula._overlaps
     explored = len(shared)
     violations = [(count, pair) for pair, count in shared.items() if count > bound]
     if violations:

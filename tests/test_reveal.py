@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import math
 import weakref
 from fractions import Fraction
 
@@ -47,9 +48,9 @@ def _classes(f, sigma, bad, zeta, k):
     and satisfied (tautologies included), and the others."""
     state = _RevealState(f, sigma, bad, zeta, k)
     everything = set(range(len(f.clauses)))
-    frozen = {i for i in everything if state.frozen[i]}
+    frozen = {i for i in everything if state.frozen >> i & 1}
     blocked = {i for i in everything if state.blocked(i)}
-    satisfied = {i for i in everything if state.satisfied[i]}
+    satisfied = {i for i in everything if state.satisfied(i)}
     return frozen, blocked, satisfied, everything - frozen - blocked - satisfied
 
 
@@ -156,6 +157,21 @@ def reveal_states(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(reveal_states())
+def test_state_clause_tests_match_definition_oracles(state):
+    # satisfied(i) and unpinned_good(i) read the packed pinning; a
+    # tautology is satisfied under every pinning
+    n, clauses, sigma, v_bad, c_bad, zeta, k = state
+    s = _RevealState(F(n, *clauses), sigma, BadSets(v_bad, c_bad, ()), zeta, k)
+    for i, c in enumerate(clauses):
+        if naive._clause_key(c) is None:
+            assert s.satisfied(i)
+            continue
+        assert s.satisfied(i) == naive._satisfied_by_partial(c, sigma)
+        assert s.unpinned_good(i) == len(naive._good_unpinned(c, sigma, v_bad))
+
+
+@settings(max_examples=400, deadline=None)
+@given(reveal_states())
 def test_alive_and_component_match_definition_oracles(state):
     n, clauses, sigma, v_bad, c_bad, zeta, k = state
     f = F(n, *clauses)
@@ -240,7 +256,9 @@ def _run_state(f, tau, c0, state, oracle=None):
         component, v = state.step(c0)
         if oracle is not None:
             clauses, v_bad, c_bad, zeta, k = oracle
-            sigma = dict(state.sigma)
+            # the state's packed pinning as the oracles' {var: bool}
+            sigma = {u: bool(state.values >> u & 1) for u in range(f.n)
+                     if state.pinned >> u & 1}
             a, ext = naive.associated_component(
                 f.n, clauses, sigma, v_bad, c_bad, zeta, k, c0)
             assert (tuple(sorted(component)), tuple(sorted(state.ext))) == (a, ext)
@@ -435,9 +453,11 @@ def _generated_run():
 def test_a_checked_call_is_never_served_from_the_unchecked_tree(monkeypatch):
     f, target, params, solutions = _generated_run()
     results = [reveal(f, tau, target, {}, params) for tau in solutions]
-    # no unpinned good variable left: every step that leaves a good clause
+    # an unreachable floor: every step that leaves a good clause
     # unsatisfied now falls to the frozen threshold
-    monkeypatch.setattr(reveal_module, "_unpinned_good", lambda c, sigma, bad: [])
+    check_step = reveal_module._check_step
+    monkeypatch.setattr(reveal_module, "_check_step",
+                        lambda state, v, floor_needed: check_step(state, v, math.inf))
     raised = 0
     for tau, before in zip(solutions, results):
         assert reveal(f, tau, target, {}, params) == before
@@ -465,6 +485,17 @@ def test_a_checked_call_is_never_served_from_the_unchecked_tree(monkeypatch):
         assert reveal(g, tau, target, {}, params) == before
         with pytest.raises(CnfError, match="planted end failure"):
             reveal(g, tau, target, {}, params, check_invariants=True)
+
+
+def test_end_check_flags_an_unsatisfied_clause_sharing_an_unpinned_variable():
+    # the component {0} still shares the unpinned v0 with the unsatisfied
+    # clause 1; pinning v0 True satisfies both clauses 0 and 1
+    state = _RevealState(CHAIN, {}, EMPTY_BAD_SETS, 0.5, 2)
+    assert state.step(0)[0] == {0}
+    with pytest.raises(CnfError, match="clause 1 stays unpinned-adjacent"):
+        reveal_module._check_end(state)
+    state.pin(0, True)
+    reveal_module._check_end(state)
 
 
 def test_a_failed_check_records_no_part_of_its_path(monkeypatch):
@@ -511,6 +542,41 @@ def test_a_formula_with_a_warm_memo_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_pinning_in_two_insertion_orders_shares_one_root():
+    f, target, params, solutions = _generated_run()
+    a, b = [v for v in range(f.n) if v != target][:2]
+    tau = solutions[0]
+    x, y = bool(tau >> a & 1), bool(tau >> b & 1)
+    g = CnfFormula(f.n, f.clauses)
+    agreeing = _agreeing(f, {a: x, b: y})
+    for prefix in ({a: x, b: y}, {b: y, a: x}):
+        for check in (False, True):
+            for t in agreeing:
+                r = reveal(g, t, target, prefix, params, check_invariants=check)
+                assert r == reveal(CnfFormula(f.n, f.clauses), t, target, prefix,
+                                   params, check_invariants=check)
+                # tau_S still starts with the caller's own prefix order
+                assert list(r.tau_S)[:2] == list(prefix)
+        est = estimate_nice_probability(g, target, prefix, 20, "orders", params)
+        assert est == estimate_nice_probability(
+            CnfFormula(f.n, f.clauses), target, prefix, 20, "orders", params)
+    assert len(g._reveal_roots) == 1
+
+
+def test_every_key_of_a_filled_tree_is_an_int():
+    f, target, params, solutions = _generated_run()
+    for check in (False, True):
+        for tau in solutions:
+            reveal(f, tau, target, {}, params, check_invariants=check)
+    early = F(12, pos(1, 2))
+    reveal(early, 0b110, 0, {}, params)
+    trees = [tree for g in (f, early) for root in g._reveal_roots.values()
+             for tree in root.trees]
+    assert len(trees) == 4 and all(trees)
+    assert all(type(key) is int for tree in trees for key in tree)
+    assert list(early._reveal_roots.values())[0].trees[0] == {0: ((), ())}
 
 
 def _check_estimate_against_trials(f, target, prefix, params, target_value):
@@ -992,3 +1058,6 @@ def test_wilson_interval_basics():
     assert lo < 0.8 < hi
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+    for successes, trials in ((5, 3), (-1, 100)):
+        with pytest.raises(ValueError, match=r"successes must lie in \[0, trials\]"):
+            wilson_interval(successes, trials)
