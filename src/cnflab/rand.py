@@ -5,7 +5,8 @@ are reproducible across platforms and Python versions.  The generator is
 Mersenne Twister (CPython's random.Random), consumed only through
 getrandbits; integer draws use unbiased rejection and permutations use an
 explicit Fisher-Yates so the consumption pattern is part of this module, not
-of the stdlib's convenience methods.
+of the stdlib's convenience methods.  The one rejection loop is
+`randbelows`, a batch of draws; `randbelow` is a batch of one.
 """
 
 import random
@@ -25,13 +26,24 @@ class SeededRng:
 
     def randbelow(self, bound):
         """Uniform int in [0, bound) by rejection on getrandbits."""
-        if bound <= 0:
+        return self.randbelows(bound, 1)[0]
+
+    def randbelows(self, bound, T):
+        """The values of T randbelow(bound) calls, in order: each draws
+        getrandbits(nbits) until a value below `bound`, nbits the bit length
+        of bound - 1 (at least 1), so the stream is consumed exactly as by
+        T calls.  T = 0 draws nothing, whatever the bound."""
+        if bound <= 0 and T > 0:
             raise ValueError("bound must be positive")
+        getrandbits = self._r.getrandbits
         nbits = (bound - 1).bit_length() or 1
-        while True:
-            x = self._r.getrandbits(nbits)
-            if x < bound:
-                return x
+        out = []
+        for _ in range(T):
+            x = getrandbits(nbits)
+            while x >= bound:
+                x = getrandbits(nbits)
+            out.append(x)
+        return out
 
     def coin(self):
         return bool(self._r.getrandbits(1))

@@ -515,7 +515,8 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     same formula memos: it walks the unchecked decision tree of the
     formula's root for (target, prefix, params), so a path any earlier run
     took is not expanded again, and its verdict comes from `is_nice`'s
-    memo.  Only the draws are per call.
+    memo.  Only the draws are per call: all the trials' solutions come
+    from one `Space.sample` of the restricted space.
 
     The first `traces` trials measured (all of them if there are fewer) are
     kept on the result as (tau, RevealResult, NiceReport) tuples.
@@ -526,12 +527,10 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     if space.count == 0:
         raise InfeasiblePinningError("no solution agrees with the prefix")
     root = _root(formula, target, prefix, params)
-    rng = SeededRng(seed)
     successes = 0
     diagnosis_counts = {}
     kept = []
-    for i in range(trials):
-        tau = space.select(rng.randbelow(space.count))
+    for i, tau in enumerate(space.sample(SeededRng(seed), trials)):
         result = _result(root, prefix, tau, False)
         report = is_nice(formula, result, target, prefix, params.zeta, params.k,
                          target_value)

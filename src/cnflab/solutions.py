@@ -63,6 +63,22 @@ DEFAULT_SOLUTION_CAP = 1 << 20
 _LOW_BITS = 16
 
 
+def _select8_table():
+    """Entry r << 8 | x is the position of the r-th (0-based) set bit of
+    the byte x, for every r below x's popcount (0 elsewhere): 2 KB."""
+    table = bytearray(8 << 8)
+    for x in range(256):
+        r = 0
+        for b in range(8):
+            if x >> b & 1:
+                table[r << 8 | x] = b
+                r += 1
+    return bytes(table)
+
+
+_SELECT8 = _select8_table()
+
+
 def iter_ksubsets_colex(n, k):
     """All k-subsets of range(n) in colexicographic order."""
     if k == 0:
@@ -386,7 +402,9 @@ class Space:
     The solutions are held as an immutable tuple of 2^L-bit rows (see the
     module docstring); `bitmap` joins them into one 2^n-bit int on every
     read.  One batch loop over a 64-bit word index maps uniform ranks to
-    solutions, for `select` (one rank) and `sample` (seeded draws);
+    solutions, three halvings of a word and a byte-table lookup each, for
+    `select` (one rank) and `sample` (one batch of seeded draws,
+    `SeededRng.randbelows`);
     `restrict` conditions the space on a pinning, so a draw from the
     restricted space is a uniform solution agreeing with it.
     """
@@ -495,27 +513,38 @@ class Space:
         for each rank, every rank in [0, count).
 
         The last word whose count before it is <= rank holds the solution
-        (a zero word never is that word: the next one has the same count),
-        and 6 halvings of that word find it, stepping past the low half
-        when the rank lies above it (the bits beyond the current half are
-        never counted: each later mask is narrower).
+        (a zero word never is that word: the next one has the same count).
+        Three halvings (32, 16, 8 bits) narrow it to one byte, stepping past
+        the low half when the rank lies above it (the bits beyond the
+        current half are never counted: each later mask is narrower), and
+        _SELECT8 gives the position of the remaining rank's bit in that
+        byte.
         """
         words, cumulative, bases, shift = self._select_index
         in_row = (1 << shift) - 1
+        bisect_right = bisect.bisect_right
         out = []
         for rank in ranks:
-            j = bisect.bisect_right(cumulative, rank) - 1
+            j = bisect_right(cumulative, rank) - 1
             remaining = rank - cumulative[j]
             word = words[j]
             pos = bases[j >> shift] + ((j & in_row) << 6)
-            for width, mask in ((32, 0xFFFFFFFF), (16, 0xFFFF), (8, 0xFF),
-                                (4, 0xF), (2, 0x3), (1, 0x1)):
-                low = (word & mask).bit_count()
-                if remaining >= low:
-                    remaining -= low
-                    word >>= width
-                    pos += width
-            out.append(pos)
+            low = (word & 0xFFFFFFFF).bit_count()
+            if remaining >= low:
+                remaining -= low
+                word >>= 32
+                pos += 32
+            low = (word & 0xFFFF).bit_count()
+            if remaining >= low:
+                remaining -= low
+                word >>= 16
+                pos += 16
+            low = (word & 0xFF).bit_count()
+            if remaining >= low:
+                remaining -= low
+                word >>= 8
+                pos += 8
+            out.append(pos + _SELECT8[remaining << 8 | word & 0xFF])
         return out
 
     def select(self, rank: int) -> int:
@@ -525,11 +554,13 @@ class Space:
         return self._select_ranks((rank,))[0]
 
     def sample(self, rng: SeededRng, T: int) -> list:
-        """T uniform solutions in draw order: the solution of rank
-        rng.randbelow(count) for each, so T draws and then T' more give the
-        same list as T + T' draws from the same stream."""
-        count = self.count
-        return self._select_ranks([rng.randbelow(count) for _ in range(T)])
+        """T uniform solutions in draw order: the solutions of the ranks
+        rng.randbelows(count, T), so T draws and then T' more give the same
+        list as T + T' draws from the same stream.  A negative T raises
+        ValueError, as does T > 0 on an empty space."""
+        if T < 0:
+            raise ValueError("T must be >= 0, got %d" % T)
+        return self._select_ranks(rng.randbelows(self.count, T))
 
     def iter_solutions(self):
         words, _, bases, shift = self._select_index

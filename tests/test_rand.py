@@ -45,6 +45,25 @@ def test_randbelow_bounds_and_coverage():
         rng.randbelow(0)
 
 
+@pytest.mark.parametrize(
+    "bound", [1, 2, 3, 1 << 5, (1 << 5) + 1, 1 << 17, (1 << 17) + 1, (1 << 31) + 1]
+)
+@pytest.mark.parametrize("T", [0, 1, 64, 1000])
+def test_randbelows_is_randbelow_draw_for_draw(bound, T):
+    # the same values from the same getrandbits calls: the stream goes on
+    # where T single draws would leave it
+    one, batch = SeededRng("randbelows/%d" % bound), SeededRng("randbelows/%d" % bound)
+    assert batch.randbelows(bound, T) == [one.randbelow(bound) for _ in range(T)]
+    assert batch.getrandbits(32) == one.getrandbits(32)
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_randbelows_rejects_a_bound_below_one(bound):
+    with pytest.raises(ValueError, match="bound must be positive"):
+        SeededRng(0).randbelows(bound, 1)
+    assert SeededRng(0).randbelows(bound, 0) == []
+
+
 def test_randbelow_roughly_uniform():
     rng = SeededRng("uniformity")
     n = 6000

@@ -502,8 +502,17 @@ def word_formulas(draw):
 ZERO_ROW_AND_WORDS = CnfFormula(17, (_forbid({16: False}), _forbid({7: True, 9: False})))
 
 
+# every word's set bits in its top byte (variables 3, 4 and 5 True), two of
+# the eight cut: a select takes all three halving steps
+TOP_BYTE_WORDS = CnfFormula(17, (
+    _forbid({3: False}), _forbid({4: False}), _forbid({5: False}),
+    _forbid({0: True, 1: False}),
+))
+
+
 @settings(max_examples=60, deadline=None)
 @example(ZERO_ROW_AND_WORDS)
+@example(TOP_BYTE_WORDS)
 @example(CnfFormula(6, ()))
 @given(word_formulas())
 def test_word_select_matches_shift_doubling_reference(f):
@@ -702,6 +711,23 @@ def test_sample_uniform_rejects_negative_T(method):
     with pytest.raises(ValueError, match="T must be >= 0"):
         sample_uniform(f, -2, "s", method=method)
     assert sample_uniform(f, 0, "s", method=method) == []
+
+
+def test_space_sample_rejects_negative_T():
+    empty, full = Space(F(1, pos(0), neg(0))), Space(F(2))
+    for space in (empty, full):
+        with pytest.raises(ValueError, match="T must be >= 0"):
+            space.sample(SeededRng(0), -1)
+    assert empty.sample(SeededRng(0), 0) == []
+    with pytest.raises(ValueError):
+        empty.sample(SeededRng(0), 1)
+
+
+def test_select8_table_matches_a_bit_walk():
+    for x in range(256):
+        ones = [b for b in range(8) if x >> b & 1]
+        for r, b in enumerate(ones):
+            assert solutions._SELECT8[r << 8 | x] == b
 
 
 def test_rejection_sampling_agrees_in_distribution():
