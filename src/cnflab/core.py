@@ -125,17 +125,6 @@ class Clause:
             raise ValueError("a tautological clause has no canonical literals")
         return [(v, bool((self.forbidden >> i) & 1)) for i, v in enumerate(self.vars)]
 
-    def satisfied_under(self, pinning) -> bool:
-        """Whether a partial assignment (variable -> truth value, read with
-        bool) already satisfies the clause: it is a tautology, or some
-        pinned variable disagrees with the forbidden pattern."""
-        if self.tautology:
-            return True
-        for i, v in enumerate(self.vars):
-            if v in pinning and bool(pinning[v]) != bool((self.forbidden >> i) & 1):
-                return True
-        return False
-
 
 @dataclass(frozen=True)
 class CnfFormula:
@@ -257,6 +246,21 @@ class CnfFormula:
     def variable_degrees(self):
         """Occurrence count per variable, tautologies excluded."""
         return [len(self.by_var.get(v, ())) for v in range(self.n)]
+
+
+def _pack(pinning):
+    """A pinning (variable -> value, read with bool) as two masks in the
+    encoding of `CnfFormula._clause_masks`: bit v of `pinned` is set for a
+    pinned v, and of `values` for one pinned True.  A clause with masks
+    (m, f) is satisfied under it iff m & pinned & (values ^ f) != 0, or it
+    is a tautology, (0, 1), the only clause with f > m.  A negative
+    variable raises ValueError (a negative shift count)."""
+    pinned = values = 0
+    for v, value in pinning.items():
+        pinned |= 1 << v
+        if value:
+            values |= 1 << v
+    return pinned, values
 
 
 def kds_parameters(formula: CnfFormula) -> KdsParams:

@@ -26,6 +26,7 @@ from Space.pattern_counts, one array per pattern):
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import time
@@ -198,22 +199,11 @@ class SweepResult:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["family", "n", "k", "T", "trials", "successes", "t_star_flag", "seed_base"]
-        )
+        names = [field.name for field in dataclasses.fields(SweepRow)]
+        writer.writerow(names)
         for row in self.rows:
-            writer.writerow(
-                [
-                    row.family,
-                    row.n,
-                    row.k,
-                    row.T,
-                    row.trials,
-                    row.successes,
-                    int(row.t_star_flag),
-                    row.seed_base,
-                ]
-            )
+            values = (getattr(row, name) for name in names)
+            writer.writerow([int(v) if isinstance(v, bool) else v for v in values])
         return buf.getvalue()
 
 

@@ -15,12 +15,11 @@ Tautological clauses are always satisfied and are ignored throughout.
 from __future__ import annotations
 
 import copy
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Clause, CnfFormula, CnfError, InfeasiblePinningError
+from .core import Clause, CnfFormula, CnfError, InfeasiblePinningError, _pack
 from .rand import SeededRng
 from .solutions import _UNSAT, _space
 from .structure import identify_bad, modified_bad_sets
@@ -40,21 +39,6 @@ def _resolve_k(formula, k):
     return formula.params.k_max if k is None else k
 
 
-def _pack(pinning):
-    """A pinning (variable -> value, read with bool) as two masks, the
-    encoding every clause test here reads: bit v of `pinned` is set for a
-    pinned v, and of `values` for one pinned True.  A clause with masks
-    (m, f) (`CnfFormula._clause_masks`) is satisfied under it iff
-    m & pinned & (values ^ f) != 0, or it is a tautology, (0, 1), the only
-    clause with f > m."""
-    pinned = values = 0
-    for v, value in pinning.items():
-        pinned |= 1 << v
-        if value:
-            values |= 1 << v
-    return pinned, values
-
-
 class _RevealState:
     """The clause bookkeeping of a revealing run under a pinning, packed
     by `_pack` into `pinned` and `values`.
@@ -62,22 +46,24 @@ class _RevealState:
     Whether a clause is satisfied and how many unpinned good variables it
     has are read off its masks when asked.  Kept: `frozen`, the bitmask of
     the frozen clauses (good, unsatisfied, with at most zeta*k unpinned
-    good variables; the one place the threshold is applied), and per
-    variable the number of frozen clauses containing it.  `pin` takes an
-    alive variable, which lies in no frozen clause, and tests only its
-    clauses; so a frozen clause is never pinned again and stays frozen.
+    good variables; the one place the threshold is applied), and
+    `frozen_vars`, the OR of their variable masks.  `pin` takes an alive
+    variable, which lies in no frozen clause, and tests only its clauses;
+    so a frozen clause is never pinned again and stays frozen, and a
+    variable is alive iff its bit is clear in pinned | bad_vars |
+    frozen_vars.
 
     The first `step` grows the associated component from c0 and keeps it,
-    with its extension and a min-heap of the extension's alive variables.
-    Later steps extend them instead of walking them again.  That is sound
-    because the variable a step pins is alive, so it lies in no component
-    clause: not in a bad one (bad clauses hold only bad variables), not in
-    a frozen one (its frozen count is 0), and not in a blocked one (it is an
+    with its extension and `ext_vars`, the OR of the extension's variable
+    masks.  Later steps extend them instead of walking them again.  That
+    is sound because the variable a step pins is alive, so it lies in no
+    component clause: not in a bad one (bad clauses hold only bad
+    variables), not in a frozen one, and not in a blocked one (it is an
     unpinned good variable outside every frozen clause).  Pinning it
     therefore keeps every component clause bad, frozen or blocked and every
     linking variable unpinned: along one run the component and its
-    extension only grow, and the alive set only shrinks, so a variable
-    popped from the heap as dead never comes back.
+    extension only grow, and the alive set only shrinks, so the next
+    variable is the lowest alive bit of `ext_vars`.
     """
 
     def __init__(self, formula, pinning, bad, zeta, k):
@@ -88,20 +74,17 @@ class _RevealState:
         self.bad_vars = sum(1 << v for v in bad.v_bad)
         self.limit = zeta * _resolve_k(formula, k)
         self.pinned, self.values = _pack(pinning)
-        self.frozen = 0
-        self.frozen_count = [0] * formula.n
+        self.frozen = self.frozen_vars = 0
         for i in range(len(self.masks)):
             self._freeze_if_due(i)
         self.component = set()  # empty until the first step
         self.ext = set()
-        self.heap = []
+        self.ext_vars = 0
 
     def copy(self):
         other = copy.copy(self)
-        other.frozen_count = self.frozen_count[:]
         other.component = set(self.component)
         other.ext = set(self.ext)
-        other.heap = self.heap[:]
         return other
 
     def satisfied(self, i):
@@ -115,8 +98,7 @@ class _RevealState:
         if (i not in self.bad.c_bad and not self.satisfied(i)
                 and self.unpinned_good(i) <= self.limit):
             self.frozen |= 1 << i
-            for v in self.clauses[i].vars:
-                self.frozen_count[v] += 1
+            self.frozen_vars |= self.masks[i][0]
 
     def pin(self, v, value):
         self.pinned |= 1 << v
@@ -125,13 +107,13 @@ class _RevealState:
         for i in self.by_var.get(v, ()):
             self._freeze_if_due(i)
 
-    def alive(self, v):
-        """Good, unpinned and in no frozen clause.  The definition asks that
-        every good unsatisfied clause holding v keep more than zeta*k - 1
-        other unpinned good variables; v is one of its unpinned good ones,
-        so that is "more than zeta*k", i.e. the clause is not frozen."""
-        return not ((self.pinned | self.bad_vars) >> v & 1
-                    or self.frozen_count[v])
+    def dead(self):
+        """The mask of the variables that are not alive: pinned, bad or in
+        a frozen clause.  Alive asks that every good unsatisfied clause
+        holding v keep more than zeta*k - 1 other unpinned good variables;
+        v is one of its unpinned good ones, so that is "more than zeta*k",
+        i.e. the clause is not frozen."""
+        return self.pinned | self.bad_vars | self.frozen_vars
 
     def blocked(self, i):
         """Good, unsatisfied, above the frozen threshold, and every unpinned
@@ -139,18 +121,15 @@ class _RevealState:
         alive; tested on demand."""
         return not (
             self.satisfied(i) or self.frozen >> i & 1 or i in self.bad.c_bad
-            or any(map(self.alive, self.clauses[i].vars))
+            or self.masks[i][0] & ~self.dead()
         )
 
     def _absorbable(self, i):
         return i in self.bad.c_bad or self.frozen >> i & 1 or self.blocked(i)
 
     def _extend(self, i):
-        """Add clause i to the extension and its alive variables to the
-        heap; a variable dead now stays dead, so it is never needed."""
         self.ext.add(i)
-        for v in filter(self.alive, self.clauses[i].vars):
-            heapq.heappush(self.heap, v)
+        self.ext_vars |= self.masks[i][0]
 
     def _close(self, stack):
         """Close the component over the clauses on the stack (already
@@ -192,10 +171,8 @@ class _RevealState:
             self._extend(c0)
         self.component.update(due)
         self._close(due)
-        heap = self.heap
-        while heap and not self.alive(heap[0]):
-            heapq.heappop(heap)
-        return self.component, heap[0] if heap else None
+        alive = self.ext_vars & ~self.dead()
+        return self.component, (alive & -alive).bit_length() - 1 if alive else None
 
 
 EARLY_SPARSE = "sparse-alpha"
@@ -232,9 +209,11 @@ class _Root:
         if k == 0 or params.alpha < 1 / k**3:
             self.early = EARLY_SPARSE
             return
+        masks = formula._clause_masks
+        pinned, values = _pack(prefix)
         self.c0 = c0 = next((
             i for i in formula.by_var.get(target, ())
-            if not formula.clauses[i].satisfied_under(prefix)
+            if not masks[i][0] & pinned & (values ^ masks[i][1])
         ), None)
         if c0 is None:
             self.early = EARLY_NO_CLAUSE

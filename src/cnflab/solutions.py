@@ -15,8 +15,10 @@ variables, highest first: a clause whose lowest high variable is L + j
 joins the tree at the nodes that fix variables L + j and up, where its
 whole high pattern is known, so it is tested at 2^(n-L-j-1) nodes, not at
 all 2^(n-L) rows, and no 2^n-bit int is built.
-Every query reads the rows: a pinning splits into one low cylinder and a
-high mask/pattern that keeps or drops whole rows, and every count of
+Every query reads the rows: a set of variable values, given as a mask
+of the variables and their values in place (core._pack, the clause
+masks), splits into one low cylinder and a high mask and values that keep
+or drop whole rows, and every count of
 solutions with a set of at most k variables all True is read off rows by
 one walk, a superset Moebius transform turning such counts into pattern
 counts.  counts_by_pattern, marginals and correlation walk the space's
@@ -49,6 +51,7 @@ from .core import (
     SamplingBudgetError,
     SolutionCapError,
     UnsatisfiableError,
+    _pack,
 )
 from .generators import GadgetSpec, gen_gadget
 from .rand import SeededRng
@@ -105,67 +108,34 @@ def _check_range(n, vs):
             raise ValueError("variable %d out of range [0, %d)" % (v, n))
 
 
-def _cylinder(nbits, vs, pattern: int) -> int:
-    """Bitmap over 2^nbits assignments of those whose values on the variable
-    tuple `vs` (each in [0, nbits)) spell `pattern` (bit i is the value of
-    vs[i]).  A pattern giving a repeated variable two values matches
-    nothing."""
-    base = zeros = 0
-    for i, v in enumerate(vs):
-        if (pattern >> i) & 1:
-            base |= 1 << v
-        else:
-            zeros |= 1 << v
-    if base & zeros:
-        return 0
-    in_set = base | zeros
-    # doubling along the free variables below the lowest one in `vs` turns
-    # the single assignment `base` into one run of ones
-    lowest = (in_set & -in_set).bit_length() - 1 if in_set else nbits
-    pat = ((1 << (1 << lowest)) - 1) << base
+def _cylinder(nbits, mask, bits) -> int:
+    """Bitmap over 2^nbits assignments of those that agree with `bits` on
+    the variables of `mask` (a set of variables and their values as
+    `core._pack` packs them, bits within mask, all below nbits)."""
+    # doubling along the free variables below the lowest one in `mask`
+    # turns the single assignment `bits` into one run of ones
+    lowest = (mask & -mask).bit_length() - 1 if mask else nbits
+    pat = ((1 << (1 << lowest)) - 1) << bits
     for w in range(lowest + 1, nbits):
-        if not (in_set >> w) & 1:
+        if not (mask >> w) & 1:
             pat |= pat << (1 << w)
     return pat
 
 
-def _split(n, vs, pattern: int):
-    """(low cylinder, high mask, high pattern) of the assignments whose
-    values on the variable tuple `vs` spell `pattern` (bit i for vs[i]):
-    row h holds them at the bits of the 2^L-bit cylinder on the variables
-    below L if h & mask == pattern on the variables >= L, and nowhere else.
-
-    A pattern giving a repeated variable two values matches nothing (the
-    cylinder is 0); a variable outside [0, n) raises ValueError before
-    allocating.
-    """
-    _check_range(n, vs)
+def _split(n, mask, bits):
+    """(low cylinder, high mask, high bits) of the assignments of n
+    variables that agree with `bits` on the variables of `mask` (all in
+    [0, n), bits within mask): row h holds them at the bits of the
+    2^L-bit cylinder on the variables below L if h & high mask == high bits
+    on the variables >= L, and nowhere else."""
     low = min(n, _LOW_BITS)
-    low_vs, low_pat, high_mask, high_pat = [], 0, 0, 0
-    clash = False
-    for i, v in enumerate(vs):
-        bit = (pattern >> i) & 1
-        if v < low:
-            low_pat |= bit << len(low_vs)
-            low_vs.append(v)
-        else:
-            m = 1 << (v - low)
-            clash |= bool(high_mask & m) and bool(high_pat & m) != bit
-            high_mask |= m
-            high_pat |= bit << (v - low)
-    return 0 if clash else _cylinder(low, low_vs, low_pat), high_mask, high_pat
+    below = (1 << low) - 1
+    return _cylinder(low, mask & below, bits & below), mask >> low, bits >> low
 
 
-def _pinned(pinning):
-    """(variables, pattern) of a pinning (variable -> value): the pinned
-    variables in increasing order, bit i of the pattern the value of the
-    i-th."""
-    vs = tuple(sorted(pinning))
-    return vs, sum(1 << i for i, v in enumerate(vs) if pinning[v])
-
-
-def _solution_rows(nbits, clauses) -> tuple:
-    """The solution rows by Shannon expansion on the variables >= L.
+def _solution_rows(formula) -> tuple:
+    """The formula's solution rows by Shannon expansion on the variables
+    >= L.
 
     Each clause is bucketed by its lowest high variable and by its
     forbidden value there; clauses without high variables seed the root.
@@ -173,14 +143,15 @@ def _solution_rows(nbits, clauses) -> tuple:
     so its leaves come out in increasing h, each as the complement of its
     node's violations.
     """
+    nbits = formula.n
     low = min(nbits, _LOW_BITS)
     full = (1 << (1 << low)) - 1
     buckets = [([], []) for _ in range(nbits - low)]
     base = 0
-    for c in clauses:
-        if c.tautology:
+    for m, f in formula._clause_masks:
+        if f > m:  # a tautology
             continue
-        cyl, mask, pat = _split(nbits, c.vars, c.forbidden)
+        cyl, mask, pat = _split(nbits, m, f)
         if mask:
             j = (mask & -mask).bit_length() - 1
             buckets[j][(pat >> j) & 1].append((cyl, mask, pat))
@@ -242,7 +213,7 @@ def _all_true_counts(n, rows, vs, depth):
     """
     _check_range(n, vs)
     low = min(n, _LOW_BITS)
-    masks = [_cylinder(low, (v,), 1) if v < low else None for v in vs]
+    masks = [_cylinder(low, 1 << v, 1 << v) if v < low else None for v in vs]
     out = {0: sum(row.bit_count() for row in rows)}
     for h, row in enumerate(rows):
         if row:
@@ -299,10 +270,10 @@ def _component_counts(space, k):
             tables.append(_all_true_counts(n, space._rows, vs, k))
             continue
         index = {v: i for i, v in enumerate(vs)}
-        rows = _solution_rows(len(vs), [
+        rows = _solution_rows(CnfFormula(len(vs), tuple(
             Clause(tuple(index[v] for v in c.vars), c.forbidden)
             for c in map(formula.clauses.__getitem__, ix)
-        ])
+        )))
         tables.append({
             sum(1 << v for i, v in enumerate(vs) if key >> i & 1): count
             for key, count in _all_true_counts(len(vs), rows, range(len(vs)), k).items()
@@ -415,7 +386,7 @@ class Space:
             raise EnumerationLimitError(
                 "n=%d exceeds the enumeration limit %d" % (formula.n, lim)
             )
-        self._set(formula, _solution_rows(formula.n, formula.clauses))
+        self._set(formula, _solution_rows(formula))
 
     def _set(self, formula, rows):
         self.formula = formula
@@ -437,9 +408,9 @@ class Space:
         solutions.  An infeasible pinning gives an empty space; a variable
         outside [0, n) raises ValueError.
         """
-        vs, pattern = _pinned(pinning)
-        cyl, mask, pat = _split(self.n, vs, pattern)
-        units = tuple(Clause.from_literals([(v, not pinning[v])]) for v in vs)
+        _check_range(self.n, pinning)
+        cyl, mask, pat = _split(self.n, *_pack(pinning))
+        units = tuple(Clause.from_literals([(v, not pinning[v])]) for v in sorted(pinning))
         sub = Space.__new__(Space)
         sub._set(
             CnfFormula(self.n, self.formula.clauses + units),
@@ -472,8 +443,25 @@ class Space:
         return _pattern_counts(self.n, k, _component_counts(self, k))
 
     def count_matching(self, vs, pattern: int) -> int:
-        """Number of solutions matching `pattern` on variable tuple `vs`."""
-        cyl, mask, pat = _split(self.n, vs, pattern)
+        """Number of solutions matching `pattern` on variable tuple `vs`
+        (bit i is the value of vs[i]).  A pattern giving a repeated variable
+        two values matches nothing; a variable outside [0, n) or a pattern
+        outside [0, 2^len(vs)) raises ValueError."""
+        _check_range(self.n, vs)
+        if not 0 <= pattern < 1 << len(vs):
+            raise ValueError("pattern out of range")
+        ones = zeros = 0
+        for i, v in enumerate(vs):
+            if pattern >> i & 1:
+                ones |= 1 << v
+            else:
+                zeros |= 1 << v
+        return 0 if ones & zeros else self._count(ones | zeros, ones)
+
+    def _count(self, mask, bits) -> int:
+        """Number of solutions that agree with `bits` on the variables of
+        `mask` (all in [0, n), bits within mask)."""
+        cyl, mask, pat = _split(self.n, mask, bits)
         return sum(
             (row & cyl).bit_count()
             for h, row in enumerate(self._rows)
@@ -656,14 +644,19 @@ def marginals(formula, limit=None):
 
 def conditional_prob(formula, condition, event, limit=None) -> Fraction:
     """Exact Pr[X agrees with event | X agrees with condition] under the
-    uniform solution distribution."""
+    uniform solution distribution; 0 when the two give a variable
+    different values.  A variable outside [0, n) raises ValueError."""
     space = _space(formula, limit, _UNSAT)
-    cvs, cpat = _pinned(condition)
-    given = space.count_matching(cvs, cpat)
+    _check_range(space.n, condition)
+    cmask, cbits = _pack(condition)
+    given = space._count(cmask, cbits)
     if given == 0:
         raise InfeasiblePinningError("conditioning event has zero mass")
-    evs, epat = _pinned(event)
-    return Fraction(space.count_matching(cvs + evs, cpat | epat << len(cvs)), given)
+    _check_range(space.n, event)
+    emask, ebits = _pack(event)
+    if (cbits ^ ebits) & cmask & emask:
+        return Fraction(0)
+    return Fraction(space._count(cmask | emask, cbits | ebits), given)
 
 
 def forbidden_pattern_prob(formula, cstar: Clause, limit=None) -> Fraction:

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import Clause, CnfFormula
+from .core import Clause, CnfFormula, _pack
 
 
 def asymptotic_parameters(k) -> dict:
@@ -171,7 +171,9 @@ def modified_bad_sets(formula: CnfFormula, cstar, prefix, c0_index, base: BadSet
     c0 = formula.clauses[c0_index]
     if c0.tautology:
         raise ValueError("c0 must be a proper clause")
-    if c0.satisfied_under(prefix):
+    m, f = formula._clause_masks[c0_index]
+    pinned, values = _pack(prefix)
+    if m & pinned & (values ^ f):
         raise ValueError("c0 must be unsatisfied under the prefix")
     threshold = 2 * k ** 0.8
     c_intersect = (

@@ -70,27 +70,6 @@ def test_clause_validation():
         Clause((0,), 1, True)  # tautology carries no pattern
 
 
-def test_satisfied_under_pinning():
-    c = Clause.from_literals([(0, False), (1, True)])
-    assert not c.satisfied_under({})
-    assert c.satisfied_under({0: True})
-    assert not c.satisfied_under({0: False})
-    assert not c.satisfied_under({0: False, 1: True})  # violated
-    assert c.satisfied_under({1: False})
-    assert c.satisfied_under({1: 0}) and not c.satisfied_under({0: 0})  # read with bool
-    assert Clause((0, 1), 0, True).satisfied_under({})  # a tautology always
-
-
-@given(
-    st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=6),
-    st.dictionaries(st.integers(0, 7), st.sampled_from([False, True, 0, 1])),
-)
-def test_satisfied_under_matches_naive(literals, pinning):
-    expected = (naive._clause_key(literals) is None
-                or naive._satisfied_by_partial(literals, pinning))
-    assert Clause.from_literals(literals).satisfied_under(pinning) == expected
-
-
 def test_formula_rejects_out_of_range_clause():
     with pytest.raises(ValueError):
         CnfFormula(2, (Clause((5,), 0),))

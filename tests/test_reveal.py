@@ -56,7 +56,7 @@ def _classes(f, sigma, bad, zeta, k):
 
 def _alive(f, sigma, bad, zeta, k):
     state = _RevealState(f, sigma, bad, zeta, k)
-    return frozenset(filter(state.alive, range(f.n)))
+    return frozenset(v for v in range(f.n) if not state.dead() >> v & 1)
 
 
 def _component(f, sigma, bad, zeta, c0, k):
@@ -242,7 +242,7 @@ def test_reveal_matches_per_step_oracle(run):
 
 
 def _state_fields(state):
-    return set(state.component), set(state.ext), list(state.heap)
+    return set(state.component), set(state.ext), state.ext_vars, state.frozen_vars
 
 
 def _run_state(f, tau, c0, state, oracle=None):

@@ -205,6 +205,16 @@ def test_out_of_range_variables_raise():
         space.issubset(Space(CnfFormula(4, ())))
 
 
+def test_count_matching_rejects_a_pattern_out_of_range():
+    # p cnf 3 1 / 1 2 0: 6 solutions, 2 with x0 False and 4 with x0 True
+    space = Space(F(3, pos(0, 1)))
+    assert [space.count_matching((0,), b) for b in range(2)] == [2, 4]
+    assert space.count_matching((), 0) == 6
+    for vs, pattern in [((0,), 2), ((0,), -1), ((), 1), ((0, 0), 4)]:
+        with pytest.raises(ValueError, match="pattern out of range"):
+            space.count_matching(vs, pattern)
+
+
 @pytest.mark.parametrize("bad", [18, 20, -1])
 def test_multi_row_queries_reject_out_of_range_variables(bad):
     # n = 18 spans four bitmap rows; every count query names the variable
@@ -761,6 +771,68 @@ def test_conditional_prob_chain():
     assert conditional_prob(f, {}, {0: True}) == Fraction(3, 7)
     with pytest.raises(InfeasiblePinningError):
         conditional_prob(f, {0: True, 1: True, 2: True}, {0: True})
+
+
+@st.composite
+def conditional_queries(draw):
+    """(n, clauses, condition, event): two pinnings over variables drawn
+    from one small range, so they often share one; the event may take a
+    condition variable again with its value or the other one, and now and
+    then one pinning names a variable outside [0, n)."""
+    n = draw(st.integers(1, 6))
+    clauses = draw(_clause_lists(n))
+    value = st.sampled_from([False, True, 0, 1])
+    condition = draw(st.dictionaries(st.integers(0, n - 1), value, max_size=3))
+    event = draw(st.dictionaries(st.integers(0, n - 1), value, max_size=3))
+    if condition:
+        for v in draw(st.lists(st.sampled_from(sorted(condition)), max_size=2)):
+            event[v] = draw(st.sampled_from([condition[v], not condition[v]]))
+    if draw(st.integers(0, 7)) == 0:
+        pinning = draw(st.sampled_from([condition, event]))
+        pinning[draw(st.sampled_from([-1, n]))] = draw(value)
+    return n, clauses, condition, event
+
+
+# p cnf 3 1 / 1 2 0
+_EITHER_01 = [[(0, False), (1, False)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(conditional_queries())
+@example((3, _EITHER_01, {0: False}, {0: False, 1: True}))  # shared, same value
+@example((3, _EITHER_01, {0: True, 2: 1}, {0: False}))  # shared, other value
+@example((3, _EITHER_01, {0: False, 1: False}, {2: True}))  # infeasible
+@example((3, _EITHER_01, {3: True}, {0: True}))  # out of range in the condition
+@example((3, _EITHER_01, {0: True}, {-1: False}))  # out of range in the event
+def test_conditional_prob_matches_brute_force(case):
+    n, clauses, condition, event = case
+    f = F(n, *clauses)
+    sols = naive.solutions(n, clauses)
+
+    def agree(pinning):
+        return [a for a in sols if all(a[v] == bool(x) for v, x in pinning.items())]
+
+    def in_range(pinning):
+        return all(0 <= v < n for v in pinning)
+
+    if not sols:
+        with pytest.raises(UnsatisfiableError):
+            conditional_prob(f, condition, event)
+    elif not in_range(condition):
+        with pytest.raises(ValueError, match="out of range"):
+            conditional_prob(f, condition, event)
+    elif not agree(condition):
+        with pytest.raises(InfeasiblePinningError):
+            conditional_prob(f, condition, event)
+    elif not in_range(event):
+        with pytest.raises(ValueError, match="out of range"):
+            conditional_prob(f, condition, event)
+    else:
+        given = agree(condition)
+        both = [a for a in given if a in agree(event)]
+        assert conditional_prob(f, condition, event) == Fraction(len(both), len(given))
+        if any(v in event and bool(event[v]) != bool(x) for v, x in condition.items()):
+            assert conditional_prob(f, condition, event) == 0
 
 
 def test_forbidden_pattern_prob_own_clause_is_zero():

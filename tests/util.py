@@ -55,9 +55,9 @@ def count_bitmap_builds(monkeypatch):
     builds = []
     build = solutions._solution_rows
 
-    def counting(nbits, clauses):
-        builds.append(nbits)
-        return build(nbits, clauses)
+    def counting(formula):
+        builds.append(formula.n)
+        return build(formula)
 
     monkeypatch.setattr(solutions, "_solution_rows", counting)
     return builds
