@@ -59,10 +59,6 @@ class SeededRng:
         self.shuffle(items)
         return items
 
-    def spawn(self, label):
-        """Independent child stream, deterministic in (seed, label)."""
-        return SeededRng("%s/%s" % (self.seed, label))
-
 
 def derived_seed(seed_base, index):
     """Stable per-trial seed string used by experiment harnesses."""

@@ -191,21 +191,19 @@ class RevealResult:
 class _Root:
     """What every revealing run of one (formula, target, prefix, params)
     fixes before it reads tau: k, the early-return reason or None, c0, the
-    state at the prefix under the run's bad sets after its first step, the
-    variable that step picks (the state and first are None on an early
-    return) and the per-step check's floor.  Also the runs' two decision
-    trees, unchecked and checked, which `reveal` and the estimator both
-    walk; an early root's trees are one leaf each, the prefix alone, under
-    key 0.  The state is only ever copied.  The target is taken as valid:
-    `_root` checks it."""
+    state at the prefix under the run's bad sets after its first step
+    (None on an early return) and the per-step check's floor.  Also the
+    runs' one decision tree, which `reveal` and the estimator both walk;
+    an early root's tree is one leaf, the prefix alone, under key 0.  The
+    state is only ever copied.  The target is taken as valid: `_root`
+    checks it."""
 
     def __init__(self, formula, target, prefix, params):
         self.n = formula.n
         self.k = k = _resolve_k(formula, params.k)
         self.floor_needed = params.zeta * k - 1
-        self.c0 = self.state = self.first = None
-        S = tuple(sorted(prefix))
-        self.trees = ({0: (S, ())}, {0: (S, ())})  # an early return's leaf
+        self.c0 = self.state = None
+        self.tree = {0: (tuple(sorted(prefix)), (), None)}  # an early return's leaf
         if k == 0 or params.alpha < 1 / k**3:
             self.early = EARLY_SPARSE
             return
@@ -219,11 +217,11 @@ class _Root:
             self.early = EARLY_NO_CLAUSE
             return
         self.early = None
-        self.trees = ({}, {})
+        self.tree = {}
         base = identify_bad(formula, params.p_hd, params.eps_bd, params.alpha, k=k)
         bad = modified_bad_sets(formula, params.cstar, prefix, c0, base, k=k)
         self.state = _RevealState(formula, prefix, bad, params.zeta, k)
-        self.first = self.state.step(c0)[1]
+        self.state.step(c0)
 
 
 def _root(formula, target, prefix, params):
@@ -250,52 +248,52 @@ def _root(formula, target, prefix, params):
 
 
 def _check_step(state, v, floor_needed):
-    """Pinning v left each of its good unsatisfied clauses above the
-    frozen threshold."""
+    """The failure message if pinning v left one of its good unsatisfied
+    clauses at or below the frozen threshold, else None."""
     for i in state.by_var[v]:
         if i in state.bad.c_bad or state.satisfied(i):
             continue
         if not state.unpinned_good(i) > floor_needed:
-            raise CnfError(
-                "revealing %d froze clause %d below the threshold" % (v, i)
-            )
+            return "revealing %d froze clause %d below the threshold" % (v, i)
+    return None
 
 
 def _check_end(state):
-    """Every clause adjacent to the finished run's component is satisfied
-    or shares no unpinned variable with it."""
+    """The failure message if a clause adjacent to the finished run's
+    component is unsatisfied and shares an unpinned variable with it,
+    else None."""
     unpinned = 0
     for j in state.component:
         unpinned |= state.masks[j][0]
     unpinned &= ~state.pinned
     for i, (m, _) in enumerate(state.masks):
         if m & unpinned and i not in state.component and not state.satisfied(i):
-            raise CnfError(
-                "clause %d stays unpinned-adjacent to the component "
-                "and unsatisfied" % i
-            )
+            return ("clause %d stays unpinned-adjacent to the component "
+                    "and unsatisfied" % i)
+    return None
 
 
-def _walk(root, tau, check):
-    """(S, trace) of the run on tau from `root`, read off the root's tree
-    for `check`.
+def _walk(root, tau):
+    """(S, trace, error) of the run on tau from `root`, read off the
+    root's tree.
 
     A run reads tau only at the variables it pins, so the runs from one
     root form a decision tree.  A node is keyed by one int,
     `read << n | tau & read`, where `read` is the mask of the variables
     the path has pinned so far (0 at the root): the bits read determine
     the path, so no two nodes share a key.  The tree maps it to the
-    variable pinned next, or, where a run ended, to its (S, trace), S the
-    pinned variables ascending.  A path no run took before is expanded
-    once: its known pins are replayed on a copy of the root's state, one
+    variable pinned next, or, where a run ended, to its leaf (S, trace,
+    error): S the pinned variables ascending, error the message of the
+    first check of `reveal`'s check_invariants the path fails, or None.
+    A path no run took before is expanded once, its nodes written as it
+    goes: its known pins are replayed on a copy of the root's state, one
     step catches the component up (a pinned variable is alive, so the
     component only grows along a run), and the run steps on to its end.
-    With check, each new step and the end are checked as `reveal`'s
-    check_invariants asks; a path's checks depend on the path alone, and
-    the new nodes are recorded only when the run has passed them all, so a
-    checked tree never holds an unchecked path.
+    Every pin, replayed or new, is checked, and the end too: a path's
+    checks depend on the path alone, so its leaf holds them whoever
+    expanded it.
     """
-    tree, n = root.trees[check], root.n
+    tree, n = root.tree, root.n
     path, read = [], 0
     node = tree.get(0)
     while isinstance(node, int):
@@ -304,32 +302,32 @@ def _walk(root, tau, check):
         node = tree.get(read << n | tau & read)
     if node is not None:
         return node
-    state = root.state.copy()
+    state, error = root.state.copy(), None
     for v in path:
         state.pin(v, tau >> v & 1)
-    v = state.step(root.c0)[1] if path else root.first
-    new = {}
+        error = error or _check_step(state, v, root.floor_needed)
+    v = state.step(root.c0)[1]
     while v is not None:
-        new[read << n | tau & read] = v
+        tree[read << n | tau & read] = v
         state.pin(v, tau >> v & 1)
-        if check:
-            _check_step(state, v, root.floor_needed)
+        error = error or _check_step(state, v, root.floor_needed)
         path.append(v)
         read |= 1 << v
         v = state.step(root.c0)[1]
-    if check:
-        _check_end(state)
+    error = error or _check_end(state)
     S = tuple(v for v in range(n) if state.pinned >> v & 1)
-    new[read << n | tau & read] = node = (S, tuple(path))
-    tree.update(new)
+    tree[read << n | tau & read] = node = (S, tuple(path), error)
     return node
 
 
 def _result(root, prefix, tau, check):
     """The RevealResult of the run on tau from `root`; tau_S is the
     caller's own prefix, then tau's bits at the revealed variables in the
-    order they were pinned."""
-    S, trace = _walk(root, tau, check)
+    order they were pinned.  With check, a path that fails a check raises
+    its leaf's error."""
+    S, trace, error = _walk(root, tau)
+    if check and error is not None:
+        raise CnfError(error)
     tau_S = dict(prefix)
     for v in trace:
         tau_S[v] = bool((tau >> v) & 1)
@@ -355,10 +353,11 @@ def reveal(formula: CnfFormula, tau, target, prefix, params: RevealParams,
     it.  Violations raise CnfError.
 
     The formula object keeps what a run fixes before it reads tau, once per
-    (target, prefix, params), and a decision tree per check_invariants
-    value of the paths earlier calls and estimates took: a call walks it
-    with tau's bits and runs steps only past its end.  Inputs are checked
-    on every call.
+    (target, prefix, params), and one decision tree of the paths earlier
+    calls and estimates took, each leaf holding its path's check outcome:
+    a call walks it with tau's bits and runs steps only past its end, and
+    check_invariants only decides whether a failed check raises.  Inputs
+    are checked on every call.
     """
     if not 0 <= tau < 1 << formula.n:
         raise ValueError("tau %d out of range [0, 2^%d)" % (tau, formula.n))
@@ -491,11 +490,11 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     Wilson 95% interval.
 
     Each trial is `reveal` without checks followed by `is_nice`, on the
-    same formula memos: it walks the unchecked decision tree of the
-    formula's root for (target, prefix, params), so a path any earlier run
-    took is not expanded again, and its verdict comes from `is_nice`'s
-    memo.  Only the draws are per call: all the trials' solutions come
-    from one `Space.sample` of the restricted space.
+    same formula memos: it walks the decision tree of the formula's root
+    for (target, prefix, params), so a path any earlier run took is not
+    expanded again, and its verdict comes from `is_nice`'s memo.  Only the
+    draws are per call: all the trials' solutions come from one
+    `Space.sample` of the restricted space.
 
     The first `traces` trials measured (all of them if there are fewer) are
     kept on the result as (tau, RevealResult, NiceReport) tuples.

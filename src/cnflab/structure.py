@@ -168,6 +168,14 @@ def modified_bad_sets(formula: CnfFormula, cstar, prefix, c0_index, base: BadSet
     """
     if k is None:
         k = formula.params.k_max
+    if not 0 <= c0_index < len(formula.clauses):
+        raise ValueError("c0_index %d out of range [0, %d)"
+                         % (c0_index, len(formula.clauses)))
+    for v in prefix:
+        if not 0 <= v < formula.n:
+            raise ValueError(
+                "prefix variable %d out of range [0, %d)" % (v, formula.n)
+            )
     c0 = formula.clauses[c0_index]
     if c0.tautology:
         raise ValueError("c0 must be a proper clause")

@@ -5,6 +5,7 @@ import importlib
 import math
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -450,41 +451,55 @@ def _generated_run():
     return f, target, params, enumerate_solutions(f).solutions
 
 
-def test_a_checked_call_is_never_served_from_the_unchecked_tree(monkeypatch):
-    f, target, params, solutions = _generated_run()
-    results = [reveal(f, tau, target, {}, params) for tau in solutions]
-    # an unreachable floor: every step that leaves a good clause
-    # unsatisfied now falls to the frozen threshold
-    check_step = reveal_module._check_step
-    monkeypatch.setattr(reveal_module, "_check_step",
-                        lambda state, v, floor_needed: check_step(state, v, math.inf))
-    raised = 0
-    for tau, before in zip(solutions, results):
-        assert reveal(f, tau, target, {}, params) == before
-        try:
-            reveal(CnfFormula(f.n, f.clauses), tau, target, {}, params,
-                   check_invariants=True)
-        except CnfError:
-            raised += 1
-            with pytest.raises(CnfError, match="below the threshold"):
-                reveal(f, tau, target, {}, params, check_invariants=True)
-        else:
-            assert reveal(f, tau, target, {}, params, check_invariants=True) == before
-    assert raised
-    # the end check too: every checked run expanded now fails it
-    monkeypatch.undo()
-    g = CnfFormula(f.n, f.clauses)
-    for tau in solutions:
-        reveal(g, tau, target, {}, params)
+def _planted_checks(floor_shift, end_parity):
+    """Stand-ins for `_check_step` and `_check_end` that fail on more
+    paths, each still a function of the path alone: the step check with
+    its floor raised by floor_shift, and the end check failing too when
+    the run pinned a number of variables of parity end_parity."""
+    check_step, check_end = reveal_module._check_step, reveal_module._check_end
 
-    def failing_end(state):
-        raise CnfError("planted end failure")
+    def step(state, v, floor_needed):
+        return check_step(state, v, floor_needed + floor_shift)
 
-    monkeypatch.setattr(reveal_module, "_check_end", failing_end)
-    for tau, before in zip(solutions, results):
-        assert reveal(g, tau, target, {}, params) == before
-        with pytest.raises(CnfError, match="planted end failure"):
-            reveal(g, tau, target, {}, params, check_invariants=True)
+    def end(state):
+        pins = state.pinned.bit_count()
+        if pins % 2 == end_parity:
+            return "planted end failure at %d pins" % pins
+        return check_end(state)
+
+    return step, end
+
+
+def _checked(f, tau, target, prefix, params):
+    """A checked reveal's result, or the message of the CnfError it raised."""
+    try:
+        return reveal(f, tau, target, prefix, params, check_invariants=True)
+    except CnfError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(revealing_runs(), st.sampled_from([0, 1, math.inf]),
+       st.sampled_from([None, 0, 1]), st.randoms(use_true_random=False))
+def test_a_checked_call_on_a_filled_tree_equals_one_on_a_fresh_formula(
+        run, floor_shift, end_parity, rnd):
+    # unchecked calls and an estimate fill the tree, which also settles the
+    # checks of every path they expand; a checked call then raises or
+    # returns exactly as on a formula whose tree it fills itself
+    n, clauses, _, target, prefix, params = run
+    f = F(n, *clauses)
+    solutions = _agreeing(f, prefix)
+    step, end = _planted_checks(floor_shift, end_parity)
+    with mock.patch.object(reveal_module, "_check_step", step), \
+            mock.patch.object(reveal_module, "_check_end", end):
+        for tau in rnd.sample(solutions, (len(solutions) + 1) // 2):
+            reveal(f, tau, target, prefix, params)
+        estimate_nice_probability(f, target, prefix, 8, "fill", params)
+        for tau in solutions:
+            r = _checked(f, tau, target, prefix, params)
+            assert r == _checked(F(n, *clauses), tau, target, prefix, params)
+            if not isinstance(r, str):
+                assert r == reveal(f, tau, target, prefix, params)
 
 
 def test_end_check_flags_an_unsatisfied_clause_sharing_an_unpinned_variable():
@@ -492,36 +507,58 @@ def test_end_check_flags_an_unsatisfied_clause_sharing_an_unpinned_variable():
     # clause 1; pinning v0 True satisfies both clauses 0 and 1
     state = _RevealState(CHAIN, {}, EMPTY_BAD_SETS, 0.5, 2)
     assert state.step(0)[0] == {0}
-    with pytest.raises(CnfError, match="clause 1 stays unpinned-adjacent"):
-        reveal_module._check_end(state)
+    assert reveal_module._check_end(state) == (
+        "clause 1 stays unpinned-adjacent to the component and unsatisfied")
     state.pin(0, True)
-    reveal_module._check_end(state)
+    assert reveal_module._check_end(state) is None
 
 
-def test_a_failed_check_records_no_part_of_its_path(monkeypatch):
-    # a run that fails its check at its last step must not leave its first
-    # steps in the checked tree, where a later call would pass them unchecked
+def _counting_copies(monkeypatch):
+    """A list that gains an entry each time a reveal state is copied,
+    i.e. each time a path is expanded."""
+    copies = []
+    copy = _RevealState.copy
+
+    def counting_copy(state):
+        copies.append(1)
+        return copy(state)
+
+    monkeypatch.setattr(_RevealState, "copy", counting_copy)
+    return copies
+
+
+@pytest.mark.parametrize("planted", ["_check_step", "_check_end"])
+def test_a_planted_check_failure_is_kept_in_its_leaf(monkeypatch, planted):
+    # a check that fails at the last step of a long run, or at its end, is
+    # recorded when an unchecked call expands the path, and a checked call
+    # reads it there
     f, target, params, solutions = _generated_run()
     tau = max(solutions, key=lambda t: len(reveal(f, t, target, {}, params).trace))
-    trace = reveal(f, tau, target, {}, params).trace
-    assert len(trace) >= 2
+    expected = reveal(f, tau, target, {}, params, check_invariants=True)
+    last = expected.trace[-1]
+    assert len(expected.trace) >= 2
     check_step = reveal_module._check_step
 
-    def failing_at(var):
-        def check(state, v, floor_needed):
-            if v == var:
-                raise CnfError("planted failure at %d" % v)
-            check_step(state, v, floor_needed)
-        return check
+    def failing_at_last(state, v, floor_needed):
+        if v == last:
+            return "planted failure at %d" % v
+        return check_step(state, v, floor_needed)
 
-    monkeypatch.setattr(reveal_module, "_check_step", failing_at(trace[-1]))
-    with pytest.raises(CnfError, match="planted failure at %d" % trace[-1]):
-        reveal(f, tau, target, {}, params, check_invariants=True)
-    monkeypatch.setattr(reveal_module, "_check_step", failing_at(trace[0]))
-    with pytest.raises(CnfError, match="planted failure at %d" % trace[0]):
-        reveal(f, tau, target, {}, params, check_invariants=True)
-    monkeypatch.setattr(reveal_module, "_check_step", check_step)
-    assert reveal(f, tau, target, {}, params, check_invariants=True).trace == trace
+    def failing_end(state):
+        return "planted failure at %d" % last
+
+    g = CnfFormula(f.n, f.clauses)
+    monkeypatch.setattr(reveal_module, planted, {
+        "_check_step": failing_at_last, "_check_end": failing_end}[planted])
+    copies = _counting_copies(monkeypatch)
+    assert reveal(g, tau, target, {}, params) == expected
+    assert copies == [1]
+    with pytest.raises(CnfError, match="planted failure at %d" % last):
+        reveal(g, tau, target, {}, params, check_invariants=True)
+    assert copies == [1]
+    monkeypatch.undo()
+    fresh = CnfFormula(f.n, f.clauses)
+    assert reveal(fresh, tau, target, {}, params, check_invariants=True) == expected
 
 
 def test_a_formula_with_a_warm_memo_is_freed_without_the_cycle_collector():
@@ -572,11 +609,13 @@ def test_every_key_of_a_filled_tree_is_an_int():
             reveal(f, tau, target, {}, params, check_invariants=check)
     early = F(12, pos(1, 2))
     reveal(early, 0b110, 0, {}, params)
-    trees = [tree for g in (f, early) for root in g._reveal_roots.values()
-             for tree in root.trees]
-    assert len(trees) == 4 and all(trees)
+    trees = [root.tree for g in (f, early) for root in g._reveal_roots.values()]
+    assert len(trees) == 2 and all(trees)
     assert all(type(key) is int for tree in trees for key in tree)
-    assert list(early._reveal_roots.values())[0].trees[0] == {0: ((), ())}
+    # a node is the next variable or a leaf (S, trace, error); these pass
+    assert all(type(node) is int or len(node) == 3 and node[2] is None
+               for tree in trees for node in tree.values())
+    assert trees[1] == {0: ((), (), None)}
 
 
 def _check_estimate_against_trials(f, target, prefix, params, target_value):
@@ -631,25 +670,17 @@ def test_estimate_early_returns_match_per_trial_reveal(reason, alpha, f, prefix)
 
 def test_reveal_after_an_estimate_expands_no_new_path(monkeypatch):
     # the estimator and reveal walk one tree per root: every run an
-    # estimate measured is a known path for reveal afterwards
+    # estimate measured is a known path for reveal afterwards, checked or not
     f, target, params, solutions = _generated_run()
-    copies = []
-    copy = _RevealState.copy
-
-    def counting_copy(state):
-        copies.append(1)
-        return copy(state)
-
-    monkeypatch.setattr(_RevealState, "copy", counting_copy)
+    copies = _counting_copies(monkeypatch)
     est = estimate_nice_probability(f, target, {}, 60, "shared", params, traces=60)
     assert copies and len(copies) < 60
     copies.clear()
     for tau, result, _ in est.traces:
         assert reveal(f, tau, target, {}, params) == result
+        # the leaf keeps the checks' outcome, so a checked call copies no state
+        assert reveal(f, tau, target, {}, params, check_invariants=True) == result
     assert copies == []
-    # the checked tree is the other one: its first call expands a path
-    reveal(f, est.traces[0][0], target, {}, params, check_invariants=True)
-    assert copies == [1]
 
 
 def test_an_estimate_fills_the_verdict_memo():
@@ -671,7 +702,7 @@ def test_an_estimate_fills_the_verdict_memo():
 @settings(max_examples=150, deadline=None)
 @given(revealing_runs(), st.sampled_from([None, False, True]))
 def test_an_estimate_on_a_warm_formula_equals_one_on_a_fresh_formula(run, target_value):
-    # warm both trees and the verdict memo through the same root, with
+    # warm the tree and the verdict memo through the same root, with
     # prefix values of another type ({v: 1} shares the root of {v: True})
     n, clauses, _, target, prefix, params = run
     warm = F(n, *clauses)

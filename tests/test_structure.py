@@ -146,6 +146,17 @@ def test_modified_bad_sets_validation():
         modified_bad_sets(f, None, {}, 0, base)
     with pytest.raises(ValueError, match="c0 must be unsatisfied"):
         modified_bad_sets(f, None, {1: True}, 1, base)
+    g = F(3, pos(0, 1))
+    base = identify_bad(g, 1, 0.5, 1.0)
+    for prefix, v in (({7: True}, 7), ({-1: False}, -1), ({3: True}, 3)):
+        with pytest.raises(ValueError,
+                           match=r"prefix variable %d out of range \[0, 3\)" % v):
+            modified_bad_sets(g, None, prefix, 0, base)
+    g = F(3, pos(0, 1), neg(1) + pos(2))
+    base = identify_bad(g, 1, 0.5, 1.0)
+    for c0 in (-1, 2):
+        with pytest.raises(ValueError, match=r"c0_index %d out of range \[0, 2\)" % c0):
+            modified_bad_sets(g, None, {}, c0, base)
 
 
 def test_degree_one_disjoint_vacuous():
