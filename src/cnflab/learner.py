@@ -4,32 +4,38 @@ The learner starts from every size-k clause over distinct variables and
 removes each clause some sample violates; what survives is the output
 formula.
 
-Samples are transposed into n column ints, and two bit-parallel scans read
-every k-subset's patterns off them in colex order, with no Python step per
-sample (the truth's exact counts, which give the sweep its support, come
-from Space.pattern_counts, one array per pattern):
+Samples are transposed into n columns by _columns, a 64x64 bit-matrix
+transpose of each block of 64 samples in six whole-int delta swaps, and
+two bit-parallel scans read every k-subset's patterns off them in colex
+order, with no Python step per sample (the truth's exact counts, which
+give the sweep its support, come from Space.pattern_counts, one array per
+pattern):
 
 - _split_tree, the learner's: a depth-first tree in which each node splits
   its parent's sample sets by one more column, each shared prefix split
   once, about C(n,k) * 2^k ANDs of T-bit ints; a leaf holds the samples
   showing one pattern on one subset.
 - _first_completion, the sweep's completion check: a trial's draws come in
-  chunks of _CHUNK samples, each scanned once.  Every k-subset is one
+  chunks of _CHUNK = 63 samples, each scanned once.  Every k-subset is one
   guard-bit field of one int per subset position (a plane, joined from
-  colex prefixes), so each of the 2^k patterns costs a few whole-int
-  operations for all subsets at once.  Per pattern, a mask keeps the
-  fields the truth supports and no sample has hit yet; each chunk clears
-  its new hits, and the trial completes in the chunk that empties every
-  mask, at the highest first-hit time among that chunk's new hits.
+  colex prefixes of the chunk's column words), so each of the 2^k patterns
+  costs a few whole-int operations for all subsets at once.  Per pattern,
+  a mask keeps the fields the truth supports and no sample has hit yet;
+  each chunk clears its new hits, and the trial completes in the chunk
+  that empties every mask, at the highest first-hit time among that
+  chunk's new hits.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import math
+import sys
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,13 +84,46 @@ def _split_walk(columns, i, top, suffix, parts):
             yield (v,) + suffix, split
 
 
+# The six delta swaps that transpose a 64x64 bit matrix held as one
+# 4096-bit int, bit 64*r + c for row r and column c: the swap for j
+# exchanges (r, c) with (r + j, c - j) for every r without bit j and c with
+# it, a move of 63*j bits, and its mask, built from the bytes of the 64
+# rows, selects the lower bit of each pair.
+_WORD = (1 << 64) - 1
+_SWAPS = [
+    (63 * j, int.from_bytes(
+        ((_WORD // ((1 << j) + 1) << j).to_bytes(8, "little") * j + bytes(8 * j))
+        * (32 // j), "little"))
+    for j in (32, 16, 8, 4, 2, 1)
+]
+
+
 def _columns(samples, n):
-    """Samples in [0, 2^n) transposed: bit t of column v is samples[t]'s value of v."""
-    width = "0%db" % n
-    # the samples' binary strings, last sample first and highest variable
-    # first, so every n-th character from offset n-1-v reads column v
-    rows = "".join([format(a, width) for a in reversed(samples)])
-    return [int(rows[n - 1 - v :: n] or "0", 2) for v in range(n)]
+    """Samples in [0, 2^n) transposed: per variable v, a memoryview of
+    64-bit words whose bytes, read little-endian on any platform, hold
+    samples[t]'s value of v in bit t (8 bytes per 64 samples).
+
+    The samples' values on each slice of 64 variables are packed as 64-bit
+    words, and each block of 64 words is read as one int and transposed by
+    the six delta swaps; word 64*b + v of the joined blocks is then block b
+    of column v.
+    """
+    columns = []
+    for low in range(0, n, 64):
+        words = array("Q", samples if n <= 64 else [a >> low & _WORD for a in samples])
+        if sys.byteorder == "big":
+            words.byteswap()
+        words = memoryview(words)
+        blocks = []
+        for start in range(0, len(words), 64):
+            x = int.from_bytes(words[start : start + 64], "little")
+            for shift, mask in _SWAPS:
+                t = (x ^ x >> shift) & mask
+                x ^= t ^ t << shift
+            blocks.append(x.to_bytes(512, "little"))
+        words = memoryview(b"".join(blocks)).cast("Q")
+        columns += [words[v::64] for v in range(min(64, n - low))]
+    return columns
 
 
 def valiant_learn(n, k, samples) -> CnfFormula:
@@ -100,7 +139,8 @@ def valiant_learn(n, k, samples) -> CnfFormula:
     if samples and not 0 <= min(samples) <= max(samples) < 1 << n:
         bad = next(a for a in samples if not 0 <= a < 1 << n)
         raise ValueError("sample %d out of range [0, 2^%d)" % (bad, n))
-    tree = _split_tree(n, k, _columns(samples, n), (1 << len(samples)) - 1)
+    columns = [int.from_bytes(column, "little") for column in _columns(samples, n)]
+    tree = _split_tree(n, k, columns, (1 << len(samples)) - 1)
     return CnfFormula(n, tuple(
         Clause(subset, pattern)
         for subset, leaves in tree
@@ -207,8 +247,9 @@ class SweepResult:
         return buf.getvalue()
 
 
-# Samples per chunk of a sweep trial's draws; each chunk is scanned once.
-_CHUNK = 64
+# Samples per chunk of a sweep trial's draws; each chunk is scanned once,
+# and each of its columns is one 64-bit word below the fields' guard bit.
+_CHUNK = 63
 
 
 def _support_masks(pattern_counts):
@@ -227,6 +268,15 @@ def _support_masks(pattern_counts):
     return masks
 
 
+@functools.lru_cache(maxsize=32)
+def _colex_runs(n, k):
+    """Per j = 1..k, (m, C(m, j-1)) for m = j-1..n-1: the largest element
+    of each run of j-subsets of range(n) in colex order, and the run's
+    length."""
+    return tuple(tuple((m, math.comb(m, j - 1)) for m in range(j - 1, n))
+                 for j in range(1, k + 1))
+
+
 def _planes(k, raw, width):
     """For each subset position i, the fields of every k-subset of
     range(len(raw)) in colex order as one int, field j holding
@@ -239,8 +289,7 @@ def _planes(k, raw, width):
     position, O(k * n) joins and no per-subset step.
     """
     planes = []
-    for j in range(1, k + 1):
-        runs = [(m, math.comb(m, j - 1)) for m in range(j - 1, len(raw))]
+    for runs in _colex_runs(len(raw), k):
         planes = [
             b"".join([plane[: c * width] for _, c in runs]) for plane in planes
         ] + [b"".join([raw[m] * c for m, c in runs])]
@@ -258,8 +307,9 @@ def _first_completion(n, k, unhit, chunks):
     the chunk's column of the i-th variable of the j-th subset.  Splitting
     the chunk's samples in every field by the planes, last position first,
     gives leaf b of pattern b (bit i the value of subset[i]).  With ones the
-    lowest bit of every field and guard the guard bits, y = (leaf | guard)
-    - ones borrows no bit across fields: y & guard keeps the guard of every
+    lowest bit of every field and guard the guard bits, a leaf has no guard
+    bit, so y = leaf + (guard - ones) carries into the guard of every
+    nonempty field and out of none: y & guard keeps the guard of every
     nonempty field, and leaf & ~y is the lowest set bit of every field, its
     pattern's first hit in the chunk.  The newly hit fields leave unhit;
     the chunk that empties it holds the completion time, the highest first
@@ -271,10 +321,13 @@ def _first_completion(n, k, unhit, chunks):
     fields = math.comb(n, k)
     width = _CHUNK // 8 + 1
     ones = int.from_bytes((b"\1" + bytes(width - 1)) * fields, "little")
-    guard = ones << _CHUNK
+    gap = (ones << _CHUNK) - ones  # the bits below every guard
     drawn = 0
     for samples in chunks:
-        raw = [column.to_bytes(width, "little") for column in _columns(samples, n)]
+        # each column as one field of width bytes (its one word as it is
+        # at _CHUNK = 63)
+        raw = [column.tobytes()[:width].ljust(width, b"\0")
+               for column in _columns(samples, n)]
         # a short last chunk starts from the samples it has, not from every
         # bit below the guard
         leaves = [ones * ((1 << len(samples)) - 1)]
@@ -287,7 +340,7 @@ def _first_completion(n, k, unhit, chunks):
         hits = []
         for b, leaf in enumerate(leaves):
             if unhit[b]:
-                y = (leaf | guard) - ones
+                y = leaf + gap
                 new = y & unhit[b]
                 if new:
                     unhit[b] ^= new
@@ -340,8 +393,8 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
     a missing supported pattern leaves a clause that cuts a true solution,
     and once none is missing, every surviving clause only cuts assignments
     of zero probability.  Formulas with larger clauses are rejected, and so
-    are a grid entry that is not an int >= 0 (a bool is not) and a delta
-    outside (0, 1).
+    are a grid entry that is not an int >= 0 (a bool is not), a trials
+    count that is not an int >= 1 and a delta outside (0, 1).
     """
     grid = list(t_grid)
     if not grid or any(
@@ -351,8 +404,8 @@ def sample_complexity_sweep(instances, k, t_grid, trials=200, delta=0.1,
     grid = sorted(set(grid))
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1, got %d" % trials)
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError("trials must be >= 1 and an int, got %r" % (trials,))
     instances = list(instances)
     keys = [(family, formula.n) for family, formula in instances]
     for key in keys:

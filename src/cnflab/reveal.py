@@ -193,10 +193,11 @@ class _Root:
     fixes before it reads tau: k, the early-return reason or None, c0, the
     state at the prefix under the run's bad sets after its first step
     (None on an early return) and the per-step check's floor.  Also the
-    runs' one decision tree, which `reveal` and the estimator both walk;
-    an early root's tree is one leaf, the prefix alone, under key 0.  The
-    state is only ever copied.  The target is taken as valid: `_root`
-    checks it."""
+    runs' one decision tree, which `reveal` and the estimator both walk,
+    with the first per-step check failure on the path to each inner node
+    that has one; an early root's tree is one leaf, the prefix alone,
+    under key 0.  The state is only ever copied.  The target is taken as
+    valid: `_root` checks it."""
 
     def __init__(self, formula, target, prefix, params):
         self.n = formula.n
@@ -204,6 +205,7 @@ class _Root:
         self.floor_needed = params.zeta * k - 1
         self.c0 = self.state = None
         self.tree = {0: (tuple(sorted(prefix)), (), None)}  # an early return's leaf
+        self.step_errors = {}  # inner node key -> its path's first step failure
         if k == 0 or params.alpha < 1 / k**3:
             self.early = EARLY_SPARSE
             return
@@ -289,34 +291,44 @@ def _walk(root, tau):
     goes: its known pins are replayed on a copy of the root's state, one
     step catches the component up (a pinned variable is alive, so the
     component only grows along a run), and the run steps on to its end.
-    Every pin, replayed or new, is checked, and the end too: a path's
-    checks depend on the path alone, so its leaf holds them whoever
-    expanded it.
+    A path's checks depend on the path alone, so its leaf holds them
+    whoever expanded it.  Each pin is checked once, by the expansion that
+    writes the node it leads to: the root's `step_errors` keeps, for each
+    inner node whose path fails a per-step check, the first such failure,
+    so a replay checks only the one pin it adds, and the end is checked
+    at the leaf.
     """
-    tree, n = root.tree, root.n
-    path, read = [], 0
+    tree, n, step_errors = root.tree, root.n, root.step_errors
+    path, read, key = [], 0, 0
     node = tree.get(0)
     while isinstance(node, int):
+        parent = key
         path.append(node)
         read |= 1 << node
-        node = tree.get(read << n | tau & read)
+        key = read << n | tau & read
+        node = tree.get(key)
     if node is not None:
         return node
     state, error = root.state.copy(), None
     for v in path:
         state.pin(v, tau >> v & 1)
-        error = error or _check_step(state, v, root.floor_needed)
+    if path:
+        error = (step_errors.get(parent)
+                 or _check_step(state, path[-1], root.floor_needed))
     v = state.step(root.c0)[1]
     while v is not None:
-        tree[read << n | tau & read] = v
+        tree[key] = v
+        if error:
+            step_errors[key] = error
         state.pin(v, tau >> v & 1)
         error = error or _check_step(state, v, root.floor_needed)
         path.append(v)
         read |= 1 << v
+        key = read << n | tau & read
         v = state.step(root.c0)[1]
     error = error or _check_end(state)
     S = tuple(v for v in range(n) if state.pinned >> v & 1)
-    tree[read << n | tau & read] = node = (S, tuple(path), error)
+    tree[key] = node = (S, tuple(path), error)
     return node
 
 
@@ -497,10 +509,12 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     `Space.sample` of the restricted space.
 
     The first `traces` trials measured (all of them if there are fewer) are
-    kept on the result as (tau, RevealResult, NiceReport) tuples.
+    kept on the result as (tau, RevealResult, NiceReport) tuples.  A trials
+    count that is not an int >= 1 (a bool is not) is a ValueError before
+    any draw.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError("trials must be >= 1 and an int, got %r" % (trials,))
     space = _space(formula, limit, _UNSAT).restrict(prefix)
     if space.count == 0:
         raise InfeasiblePinningError("no solution agrees with the prefix")

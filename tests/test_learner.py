@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 from array import array
 from fractions import Fraction
 from unittest import mock
@@ -106,10 +107,68 @@ def test_valiant_matches_clause_major_oracle(case):
     assert valiant_learn(n, k, samples) == oracle_learn(n, k, samples)
 
 
+def column_ints(samples, n):
+    """learner._columns as ints: bit t of column v is samples[t]'s value of v."""
+    return [int.from_bytes(column, "little") for column in learner._columns(samples, n)]
+
+
+@st.composite
+def transpose_inputs(draw):
+    """(n, samples): n on both sides of one and two 64-variable slices, and
+    T at, around or between multiples of a 64-sample block."""
+    n = draw(st.integers(min_value=0, max_value=130))
+    T = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]),
+                       st.integers(min_value=0, max_value=300)))
+    samples = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=T, max_size=T))
+    return n, samples
+
+
+@settings(deadline=None)
+@given(transpose_inputs())
+def test_columns_match_a_naive_transpose(case):
+    n, samples = case
+    columns = learner._columns(samples, n)
+    assert len(columns) == n
+    assert all(len(column.tobytes()) == 8 * -(-len(samples) // 64) for column in columns)
+    assert column_ints(samples, n) == [
+        sum(((a >> v) & 1) << t for t, a in enumerate(samples)) for v in range(n)
+    ]
+
+
+def test_columns_keep_no_state_per_sample_count():
+    # the transpose's masks are module constants: calls with many distinct
+    # T, through both scans, leave no allocation behind in learner.py
+    truth = gen_disjoint_family(3, 9, "state")
+    rng = random.Random(5)
+    samples = [rng.randrange(1 << 70) for _ in range(300)]
+    space = Space(truth)
+    unhit = learner._support_masks(space.pattern_counts(3))
+
+    def calls(T):
+        learner._columns(samples[:T], 70)
+        valiant_learn(9, 2, [a & 511 for a in samples[:T]])
+        learner._completion_time(space, 3, unhit, T, "state")
+
+    calls(1)
+    tracemalloc.start()
+    try:
+        calls(2)
+        before = tracemalloc.take_snapshot()
+        for T in range(3, 300):
+            calls(T)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    where = [tracemalloc.Filter(True, learner.__file__)]
+    grown = after.filter_traces(where).compare_to(before.filter_traces(where), "filename")
+    assert sum(stat.size_diff for stat in grown) <= 0
+
+
 @given(learning_inputs())
 def test_split_tree_walks_colex_and_partitions_items(case):
     n, k, samples = case
-    columns = learner._columns(samples, n)
+    columns = column_ints(samples, n)
     full = (1 << len(samples)) - 1
     walk = list(learner._split_tree(n, k, columns, full))
     assert [subset for subset, _ in walk] == list(iter_ksubsets_colex(n, k))
@@ -190,7 +249,7 @@ def reference_first_hit(n, k, samples, truth):
     for subset in colex_subsets(n, k):
         shown = {pattern_on(a, subset) for a in truth}
         unsupported.append((1 << k) - len(shown))
-    tree = learner._split_tree(n, k, learner._columns(samples, n),
+    tree = learner._split_tree(n, k, column_ints(samples, n),
                                (1 << len(samples)) - 1)
     return naive.last_first_hit(tree, unsupported)
 
@@ -212,7 +271,7 @@ def chunked_first_hit(n, k, samples, truth):
 # boundary of the field, and T around a multiple of a chunk size fills the
 # last chunk, leaves it short or starts a new one
 FIRST_HIT_TS = (0, 1, 7, 8, 9, 63, 64, 65)
-CHUNKS = (1, 3, 8, 64)
+CHUNKS = (1, 3, 8, 63, 64)
 
 
 @st.composite
@@ -488,6 +547,16 @@ def test_sweep_input_validation():
         with pytest.raises(ValueError, match="trials must be >= 1"):
             sample_complexity_sweep([("d", gen_disjoint_family(3, 9, 1))], 3,
                                     [5, 50], trials=trials, seed_base="s")
+
+
+@pytest.mark.parametrize("trials", [2.5, True, False, "3", None])
+def test_sweep_rejects_a_trials_count_that_is_not_an_int_ge_1(trials, monkeypatch):
+    # 2.5 used to fail with a TypeError traceback and True to return rows
+    # of trials == True
+    monkeypatch.setattr(Space, "sample", None)  # no draw is made
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sample_complexity_sweep([("d", gen_disjoint_family(3, 9, 1))], 3,
+                                [5, 50], trials=trials, seed_base="s")
 
 
 @pytest.mark.parametrize("grid", [[2, 10.5], [True, 5], [5, False], [3, -1], ["5"]])

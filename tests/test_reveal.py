@@ -31,6 +31,7 @@ from cnflab import (
     wilson_interval,
 )
 from cnflab.reveal import RevealResult, _RevealState, _Root
+from cnflab.solutions import Space
 from cnflab.structure import BadSets, EMPTY_BAD_SETS
 
 import naive
@@ -443,6 +444,15 @@ def test_reveal_validation_with_a_warm_memo():
         estimate_nice_probability(f, f.n, {}, 5, "s", PARAMS)
 
 
+@pytest.mark.parametrize("trials", [0, -3, 2.5, True, "4", None])
+def test_estimate_rejects_a_trials_count_that_is_not_an_int_ge_1(trials, monkeypatch):
+    # 2.5 used to fail with a TypeError traceback and True to run one trial
+    f, target, params, _ = _generated_run()
+    monkeypatch.setattr(Space, "sample", None)  # no draw is made
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        estimate_nice_probability(f, target, {}, trials, "s", params)
+
+
 def _generated_run():
     f = gen_linear_cnf(3, 2, 12, "oracle-linear")
     degrees = f.variable_degrees()
@@ -559,6 +569,34 @@ def test_a_planted_check_failure_is_kept_in_its_leaf(monkeypatch, planted):
     monkeypatch.undo()
     fresh = CnfFormula(f.n, f.clauses)
     assert reveal(fresh, tau, target, {}, params, check_invariants=True) == expected
+
+
+def test_an_expansion_checks_each_pin_once(monkeypatch):
+    # a replay reads the first step failure of its known path from the root,
+    # so an expansion checks only the pins it adds: one `_check_step` call
+    # per node it writes below the root
+    f, target, params, solutions = _generated_run()
+    calls = []
+    check_step = reveal_module._check_step
+
+    def counting(state, v, floor_needed):
+        calls.append(v)
+        return check_step(state, v, floor_needed)
+
+    monkeypatch.setattr(reveal_module, "_check_step", counting)
+    reveal(f, solutions[0], target, {}, params)
+    (root,) = f._reveal_roots.values()
+    replays = 0
+    for tau in solutions:
+        known = set(root.tree)
+        calls.clear()
+        reveal(f, tau, target, {}, params)
+        written = set(root.tree) - known
+        assert len(calls) == len(written - {0})
+        replays += bool(written) and 0 not in written
+    assert replays
+    # the real checks pass on every path, so no step failure is kept
+    assert root.step_errors == {}
 
 
 def test_a_formula_with_a_warm_memo_is_freed_without_the_cycle_collector():
