@@ -172,27 +172,18 @@ class CnfFormula:
         component, ordered by smallest clause index.  Two clauses share a
         component iff a chain of clauses, each sharing a variable with the
         next, joins them; an empty clause is a component with no variables,
-        and a variable in no clause is in none.  Built once per formula from
-        `by_var` by union-find over clause indices."""
-        parent = list(range(len(self.clauses)))
-
-        def root(i):
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            return i
-
-        for ix in self.by_var.values():
-            top = root(ix[0])
-            for i in ix[1:]:
-                parent[root(i)] = top
-        groups = {}
-        for i, c in enumerate(self.clauses):
-            if not c.tautology:
-                groups.setdefault(root(i), []).append(i)
-        return tuple(
-            (tuple(sorted({v for i in ix for v in self.clauses[i].vars})), tuple(ix))
-            for ix in groups.values()
-        )
+        and a variable in no clause is in none.  Built once per formula by
+        `_grow` from each clause no earlier component holds, every clause
+        it reaches joining."""
+        clauses, seen, out = self.clauses, set(), []
+        for i, c in enumerate(clauses):
+            if not c.tautology and i not in seen:
+                seen.add(i)
+                ix = {i}
+                _grow(clauses, self.by_var, 0, [i], seen, lambda j: True, ix)
+                out.append((tuple(sorted({v for j in ix for v in clauses[j].vars})),
+                            tuple(sorted(ix))))
+        return tuple(out)
 
     @functools.cached_property
     def _overlaps(self) -> dict:
@@ -261,6 +252,27 @@ def _pack(pinning):
         if value:
             values |= 1 << v
     return pinned, values
+
+
+def _grow(clauses, by_var, pinned, stack, seen, joins, members):
+    """Grow `members` from the clause indices on `stack` through shared
+    variables outside the mask `pinned`: pop a clause, and for each of its
+    variables v with bit v clear in `pinned`, take each clause of
+    `by_var.get(v, ())` not yet in `seen`, add it to `seen`, and test it
+    once with `joins`; one that joins goes into `members` and onto the
+    stack.  `stack`, `seen` and `members` are the caller's and are updated
+    in place; the stack's clauses are taken as already seen and members.
+    The one clause walk: `CnfFormula.components`, the reveal's associated
+    component and `is_nice`'s residual component all grow through it."""
+    while stack:
+        for v in clauses[stack.pop()].vars:
+            if not pinned >> v & 1:
+                for w in by_var.get(v, ()):
+                    if w not in seen:
+                        seen.add(w)
+                        if joins(w):
+                            members.add(w)
+                            stack.append(w)
 
 
 def kds_parameters(formula: CnfFormula) -> KdsParams:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Clause, CnfFormula, CnfError, InfeasiblePinningError, _pack
+from .core import Clause, CnfFormula, CnfError, InfeasiblePinningError, _grow, _pack
 from .rand import SeededRng
 from .solutions import _UNSAT, _space
 from .structure import identify_bad, modified_bad_sets
@@ -53,8 +53,10 @@ class _RevealState:
     variable is alive iff its bit is clear in pinned | bad_vars |
     frozen_vars.
 
-    The first `step` grows the associated component from c0 and keeps it,
-    with its extension and `ext_vars`, the OR of the extension's variable
+    The first `step` grows the associated component from c0 by
+    `core._grow` and keeps it as `component`, with its extension `ext` (the
+    walk's seen set: every clause sharing an unpinned variable with a
+    component clause) and `ext_vars`, the OR of the extension's variable
     masks.  Later steps extend them instead of walking them again.  That
     is sound because the variable a step pins is alive, so it lies in no
     component clause: not in a bad one (bad clauses hold only bad
@@ -124,55 +126,37 @@ class _RevealState:
             or self.masks[i][0] & ~self.dead()
         )
 
-    def _absorbable(self, i):
+    def _joins(self, i):
+        """Clause i joins the extension, and the component iff it is bad,
+        frozen or blocked: `_grow`'s test for a clause new to the
+        extension, and `step`'s re-test of one already in it (whose
+        variables `ext_vars` already holds)."""
+        self.ext_vars |= self.masks[i][0]
         return i in self.bad.c_bad or self.frozen >> i & 1 or self.blocked(i)
 
-    def _extend(self, i):
-        self.ext.add(i)
-        self.ext_vars |= self.masks[i][0]
-
-    def _close(self, stack):
-        """Close the component over the clauses on the stack (already
-        members): every clause sharing an unpinned variable with a member
-        joins the extension, and the bad, frozen and blocked ones join the
-        component and are walked in turn.
-
-        Only a clause new to the extension is tested: the others were
-        tested under this same state, when the step re-examined them.
-        """
-        clauses, pinned, by_var = self.clauses, self.pinned, self.by_var
-        component, ext = self.component, self.ext
-        while stack:
-            j = stack.pop()
-            for v in clauses[j].vars:
-                if pinned >> v & 1:
-                    continue
-                for w in by_var.get(v, ()):
-                    if w not in ext:
-                        self._extend(w)
-                        if self._absorbable(w):
-                            component.add(w)
-                            stack.append(w)
-
     def step(self, c0):
-        """c0's associated component and the smallest alive variable of its
-        extended component (None when there is none).
+        """The smallest alive variable of c0's extended component (None
+        when there is none), with `component` and `ext` grown to match.
 
         The first call grows the component from {c0}; a later one, after
         pins of the variables earlier calls returned, re-examines only the
-        extension clauses outside the component and closes over those that
-        have become frozen or blocked.  The returned set is the state's own.
+        extension clauses outside the component and grows from those that
+        have become frozen or blocked.  Only a clause new to the extension
+        is tested by the walk: the others were tested under this same
+        state, just before it.
         """
         if self.component:
             due = [i for i in self.ext
-                   if i not in self.component and self._absorbable(i)]
+                   if i not in self.component and self._joins(i)]
         else:
             due = [c0]
-            self._extend(c0)
+            self.ext.add(c0)
+            self.ext_vars |= self.masks[c0][0]
         self.component.update(due)
-        self._close(due)
+        _grow(self.clauses, self.by_var, self.pinned, due, self.ext, self._joins,
+              self.component)
         alive = self.ext_vars & ~self.dead()
-        return self.component, (alive & -alive).bit_length() - 1 if alive else None
+        return (alive & -alive).bit_length() - 1 if alive else None
 
 
 EARLY_SPARSE = "sparse-alpha"
@@ -315,7 +299,7 @@ def _walk(root, tau):
     if path:
         error = (step_errors.get(parent)
                  or _check_step(state, path[-1], root.floor_needed))
-    v = state.step(root.c0)[1]
+    v = state.step(root.c0)
     while v is not None:
         tree[key] = v
         if error:
@@ -325,7 +309,7 @@ def _walk(root, tau):
         path.append(v)
         read |= 1 << v
         key = read << n | tau & read
-        v = state.step(root.c0)[1]
+        v = state.step(root.c0)
     error = error or _check_end(state)
     S = tuple(v for v in range(n) if state.pinned >> v & 1)
     tree[key] = node = (S, tuple(path), error)
@@ -440,7 +424,10 @@ def is_nice(formula: CnfFormula, result: RevealResult, target, prefix, zeta,
 
 
 def _verdict(formula, target, pinned, values, zeta, k, target_value):
-    """`is_nice`'s component search under tau_S packed by `_pack`."""
+    """`is_nice`'s component search under tau_S packed by `_pack`: the
+    residual component grows by `core._grow` from the target's first
+    unsatisfied clause through unpinned variables, every unsatisfied
+    clause it reaches joining."""
     clauses, masks, by_var = formula.clauses, formula._clause_masks, formula.by_var
 
     def unsatisfied(i):
@@ -452,19 +439,7 @@ def _verdict(formula, target, pinned, values, zeta, k, target_value):
     if start is None:
         return NiceReport(True, "isolated", 0, None)
     component = {start}
-    examined = {start}
-    stack = [start]
-    while stack:
-        j = stack.pop()
-        for v in clauses[j].vars:
-            if pinned >> v & 1:
-                continue
-            for w in by_var[v]:
-                if w not in examined:
-                    examined.add(w)
-                    if unsatisfied(w):
-                        component.add(w)
-                        stack.append(w)
+    _grow(clauses, by_var, pinned, [start], {start}, unsatisfied, component)
     small = sorted(
         i for i in component if (masks[i][0] & ~pinned).bit_count() < zeta * k - 1
     )
@@ -545,13 +520,16 @@ def estimate_nice_probability(formula: CnfFormula, target, prefix, trials,
     )
 
 
-def wilson_interval(successes, trials, z=1.96):
-    """Wilson score interval for a binomial proportion."""
+_Z95 = 1.96  # the standard normal quantile of a two-sided 95% interval
+
+
+def wilson_interval(successes, trials):
+    """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    phat = successes / trials
+    z, phat = _Z95, successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = (

@@ -290,8 +290,12 @@ def _min_union_greedy(var_sets, sizes):
     return len(union), tuple(choice)
 
 
+_CHOICE_BUDGET = 200_000  # per-subset variable choices tried exhaustively
+_HEURISTIC_STARTS = 50  # clauses a heuristic subset may grow from
+
+
 def check_edge_expansion(formula: CnfFormula, rho, eta, B, ell_limit,
-                         subset_budget=500_000, choice_budget=200_000) -> PropertyCheck:
+                         subset_budget=500_000) -> PropertyCheck:
     """For every set of ell <= min(ell_limit, rho*|C|) distinct clauses and
     every choice of B variables from each (B a whole number >= 1 and
     ell_limit >= 1, else ValueError), the union must exceed (1-eta)*B*ell.
@@ -329,7 +333,7 @@ def check_edge_expansion(formula: CnfFormula, rho, eta, B, ell_limit,
             combos = 1
             for vs, b in zip(var_sets, sizes):
                 combos *= math.comb(len(vs), b)
-            if combos <= choice_budget and all(len(vs) <= 9 for vs in var_sets):
+            if combos <= _CHOICE_BUDGET and all(len(vs) <= 9 for vs in var_sets):
                 union, choice = _min_union_exact(var_sets, sizes)
             else:
                 union, choice = _min_union_greedy(var_sets, sizes)
@@ -346,12 +350,12 @@ def check_edge_expansion(formula: CnfFormula, rho, eta, B, ell_limit,
     return PropertyCheck("edge-expansion", True, verdict, None, explored)
 
 
-def _heuristic_subsets(active, ell, starts=50):
+def _heuristic_subsets(active, ell):
     """Greedy high-overlap clause subsets: grow from each of the first
-    `starts` clauses by repeatedly adding the clause sharing the most
-    variables with the current union."""
+    `_HEURISTIC_STARTS` clauses by repeatedly adding the clause sharing
+    the most variables with the current union."""
     m = len(active)
-    for s in range(min(m, starts)):
+    for s in range(min(m, _HEURISTIC_STARTS)):
         chosen = [s]
         union = set(active[s][1].vars)
         while len(chosen) < ell:

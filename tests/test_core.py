@@ -15,6 +15,7 @@ from cnflab import (
     parse_dimacs,
     write_dimacs,
 )
+from cnflab.core import _grow
 import naive
 from util import F, bits, pos, neg, from_bits
 
@@ -140,6 +141,47 @@ def test_by_var_indexes_the_non_tautological_clauses(case):
     degrees = f.variable_degrees()
     assert f.params.d_max == max(degrees, default=0)
     assert all(len(f.by_var.get(v, ())) == degrees[v] for v in range(n))
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    # empty clauses and tautologies included
+    st.lists(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=4),
+             max_size=9),
+    st.integers(0, (1 << n) - 1),
+)), st.data())
+def test_grow_matches_a_naive_closure_and_tests_each_clause_once(case, data):
+    n, clauses, pinned = case
+    f = F(n, *clauses)
+    m = len(f.clauses)
+    indices = st.sets(st.integers(0, 8)).map(set(range(m)).intersection)
+    starts = data.draw(indices)
+    # a joins predicate that rejects everything is drawn as an empty accept set
+    accept = data.draw(st.one_of(st.just(set()), indices))
+    calls = []
+
+    def joins(w):
+        calls.append(w)
+        return w in accept
+
+    seen, members = set(starts), set(starts)
+    _grow(f.clauses, f.by_var, pinned, sorted(starts), seen, joins, members)
+
+    def linked(i, j):
+        free = {v for v in f.clauses[i].vars if not pinned >> v & 1}
+        return not f.clauses[j].tautology and bool(free & set(f.clauses[j].vars))
+
+    expected = set(starts)
+    frontier = set(starts)
+    while frontier:
+        frontier = {j for j in range(m) if j not in expected and j in accept
+                    and any(linked(i, j) for i in frontier)}
+        expected |= frontier
+    assert members == expected
+    # every clause linked to a member is seen, and each is tested once
+    assert seen == set(starts) | {j for j in range(m)
+                                  if any(linked(i, j) for i in expected)}
+    assert sorted(calls) == sorted(seen - set(starts))
 
 
 def test_variable_degrees_excludes_tautologies():

@@ -65,8 +65,8 @@ def _component(f, sigma, bad, zeta, c0, k):
     """c0's associated component and its extension after a state's first
     step, as sorted index tuples."""
     state = _RevealState(f, sigma, bad, zeta, k)
-    component, _ = state.step(c0)
-    return tuple(sorted(component)), tuple(sorted(state.ext))
+    state.step(c0)
+    return tuple(sorted(state.component)), tuple(sorted(state.ext))
 
 
 def test_classify_frozen_and_blocked():
@@ -255,7 +255,7 @@ def _run_state(f, tau, c0, state, oracle=None):
     the variables pinned."""
     pinned = []
     while True:
-        component, v = state.step(c0)
+        v = state.step(c0)
         if oracle is not None:
             clauses, v_bad, c_bad, zeta, k = oracle
             # the state's packed pinning as the oracles' {var: bool}
@@ -263,7 +263,7 @@ def _run_state(f, tau, c0, state, oracle=None):
                      if state.pinned >> u & 1}
             a, ext = naive.associated_component(
                 f.n, clauses, sigma, v_bad, c_bad, zeta, k, c0)
-            assert (tuple(sorted(component)), tuple(sorted(state.ext))) == (a, ext)
+            assert (tuple(sorted(state.component)), tuple(sorted(state.ext))) == (a, ext)
             ext_vars = {u for i in ext for u, _ in clauses[i] if u not in sigma}
             alive = naive.alive_variables(f.n, clauses, sigma, v_bad, c_bad, zeta, k)
             assert v == min(alive & ext_vars, default=None)
@@ -307,7 +307,7 @@ def test_stepping_a_copy_leaves_the_original_unchanged():
             rest = _run_state(f, tau, c0, state.copy(), None if pinned else oracle)
             assert rest == list(expected[len(pinned):])
             assert _state_fields(state) == before
-            _, v = state.step(c0)
+            v = state.step(c0)
             if v is None:
                 break
             state.pin(v, bool((tau >> v) & 1))
@@ -516,7 +516,8 @@ def test_end_check_flags_an_unsatisfied_clause_sharing_an_unpinned_variable():
     # the component {0} still shares the unpinned v0 with the unsatisfied
     # clause 1; pinning v0 True satisfies both clauses 0 and 1
     state = _RevealState(CHAIN, {}, EMPTY_BAD_SETS, 0.5, 2)
-    assert state.step(0)[0] == {0}
+    state.step(0)
+    assert state.component == {0}
     assert reveal_module._check_end(state) == (
         "clause 1 stays unpinned-adjacent to the component and unsatisfied")
     state.pin(0, True)
